@@ -36,17 +36,6 @@ std::string ToLower(const std::string& s) {
   return out;
 }
 
-bool EqualsIgnoreCase(const std::string& s, const std::string& t) {
-  if (s.size() != t.size()) return false;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(s[i])) !=
-        std::tolower(static_cast<unsigned char>(t[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string FormatDouble(double v, int prec) {
   return StrFormat("%.*f", prec, v);
 }

@@ -16,9 +16,6 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep);
 /// Lower-cases ASCII.
 std::string ToLower(const std::string& s);
 
-/// True if `s` equals `t` ignoring ASCII case.
-bool EqualsIgnoreCase(const std::string& s, const std::string& t);
-
 /// Renders a double with `prec` decimal digits.
 std::string FormatDouble(double v, int prec = 3);
 

@@ -1,7 +1,7 @@
 #ifndef COTE_PARSER_LEXER_H_
 #define COTE_PARSER_LEXER_H_
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -13,14 +13,18 @@ namespace cote {
 ///
 /// Comments (`-- ...` to end of line) and whitespace are skipped. The final
 /// token is always kEnd. Fails on unterminated strings and unknown bytes.
+/// Each identifier's keyword is classified here, once (Token::keyword).
+///
+/// The lexer views `input` without copying it; the text must outlive
+/// Tokenize(). Tokens own their text.
 class Lexer {
  public:
-  explicit Lexer(std::string input) : input_(std::move(input)) {}
+  explicit Lexer(std::string_view input) : input_(input) {}
 
   StatusOr<std::vector<Token>> Tokenize();
 
  private:
-  std::string input_;
+  std::string_view input_;
 };
 
 }  // namespace cote

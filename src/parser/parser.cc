@@ -8,24 +8,6 @@
 
 namespace cote {
 
-namespace {
-
-bool IsReserved(const Token& tok) {
-  static const char* kReserved[] = {
-      "select", "from",  "where", "group", "order",    "by",    "and",
-      "join",   "left",  "outer", "inner", "on",       "as",    "distinct",
-      "count",  "sum",   "avg",   "min",   "max",      "like",  "between",
-      "fetch",  "first", "rows",  "only",  "limit",    "desc",  "asc",
-  };
-  if (tok.type != TokenType::kIdent) return false;
-  for (const char* kw : kReserved) {
-    if (tok.IsKeyword(kw)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 StatusOr<ast::SelectStatement> Parser::Parse(const std::string& sql) {
   Lexer lexer(sql);
   auto tokens = lexer.Tokenize();
@@ -34,7 +16,7 @@ StatusOr<ast::SelectStatement> Parser::Parse(const std::string& sql) {
   return parser.ParseSelect(/*top_level=*/true);
 }
 
-bool Parser::AcceptKeyword(const char* kw) {
+bool Parser::AcceptKeyword(Keyword kw) {
   if (Peek().IsKeyword(kw)) {
     Next();
     return true;
@@ -50,9 +32,9 @@ bool Parser::AcceptSymbol(const char* sym) {
   return false;
 }
 
-Status Parser::ExpectKeyword(const char* kw) {
+Status Parser::ExpectKeyword(Keyword kw) {
   if (!AcceptKeyword(kw)) {
-    return ErrorAt(Peek(), StrFormat("expected %s", kw));
+    return ErrorAt(Peek(), StrFormat("expected %s", KeywordName(kw)));
   }
   return Status::OK();
 }
@@ -71,51 +53,51 @@ Status Parser::ErrorAt(const Token& tok, const std::string& what) const {
 }
 
 StatusOr<ast::SelectStatement> Parser::ParseSelect(bool top_level) {
-  COTE_RETURN_NOT_OK(ExpectKeyword("select"));
+  COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kSelect));
   ast::SelectStatement stmt;
-  stmt.distinct = AcceptKeyword("distinct");
+  stmt.distinct = AcceptKeyword(Keyword::kDistinct);
   COTE_RETURN_NOT_OK(ParseSelectList(&stmt));
-  COTE_RETURN_NOT_OK(ExpectKeyword("from"));
+  COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kFrom));
   COTE_RETURN_NOT_OK(ParseFromList(&stmt));
-  if (AcceptKeyword("where")) {
+  if (AcceptKeyword(Keyword::kWhere)) {
     auto conj = ParseConjunction();
     if (!conj.ok()) return conj.status();
     stmt.where = std::move(conj).value();
   }
-  if (AcceptKeyword("group")) {
-    COTE_RETURN_NOT_OK(ExpectKeyword("by"));
+  if (AcceptKeyword(Keyword::kGroup)) {
+    COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kBy));
     do {
       auto col = ParseColumn();
       if (!col.ok()) return col.status();
       stmt.group_by.push_back(std::move(col).value());
     } while (AcceptSymbol(","));
   }
-  if (AcceptKeyword("order")) {
-    COTE_RETURN_NOT_OK(ExpectKeyword("by"));
+  if (AcceptKeyword(Keyword::kOrder)) {
+    COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kBy));
     do {
       auto col = ParseColumn();
       if (!col.ok()) return col.status();
       ast::OrderItem item;
       item.column = std::move(col).value();
-      if (AcceptKeyword("desc")) {
+      if (AcceptKeyword(Keyword::kDesc)) {
         item.descending = true;
       } else {
-        AcceptKeyword("asc");
+        AcceptKeyword(Keyword::kAsc);
       }
       stmt.order_by.push_back(std::move(item));
     } while (AcceptSymbol(","));
   }
   // FETCH FIRST n ROWS ONLY | LIMIT n.
-  if (AcceptKeyword("fetch")) {
-    COTE_RETURN_NOT_OK(ExpectKeyword("first"));
+  if (AcceptKeyword(Keyword::kFetch)) {
+    COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kFirst));
     const Token& n = Peek();
     if (n.type != TokenType::kNumber) {
       return ErrorAt(n, "expected row count after FETCH FIRST");
     }
     stmt.fetch_first = std::atoll(Next().text.c_str());
-    COTE_RETURN_NOT_OK(ExpectKeyword("rows"));
-    COTE_RETURN_NOT_OK(ExpectKeyword("only"));
-  } else if (AcceptKeyword("limit")) {
+    COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kRows));
+    COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kOnly));
+  } else if (AcceptKeyword(Keyword::kLimit)) {
     const Token& n = Peek();
     if (n.type != TokenType::kNumber) {
       return ErrorAt(n, "expected row count after LIMIT");
@@ -140,13 +122,26 @@ Status Parser::ParseSelectList(ast::SelectStatement* stmt) {
   }
   do {
     ast::SelectItem item;
-    const Token& tok = Peek();
     auto agg = ast::AggFunc::kNone;
-    if (tok.IsKeyword("count")) agg = ast::AggFunc::kCount;
-    else if (tok.IsKeyword("sum")) agg = ast::AggFunc::kSum;
-    else if (tok.IsKeyword("avg")) agg = ast::AggFunc::kAvg;
-    else if (tok.IsKeyword("min")) agg = ast::AggFunc::kMin;
-    else if (tok.IsKeyword("max")) agg = ast::AggFunc::kMax;
+    switch (Peek().keyword) {
+      case Keyword::kCount:
+        agg = ast::AggFunc::kCount;
+        break;
+      case Keyword::kSum:
+        agg = ast::AggFunc::kSum;
+        break;
+      case Keyword::kAvg:
+        agg = ast::AggFunc::kAvg;
+        break;
+      case Keyword::kMin:
+        agg = ast::AggFunc::kMin;
+        break;
+      case Keyword::kMax:
+        agg = ast::AggFunc::kMax;
+        break;
+      default:
+        break;
+    }
     if (agg != ast::AggFunc::kNone) {
       Next();
       item.agg = agg;
@@ -164,7 +159,7 @@ Status Parser::ParseSelectList(ast::SelectStatement* stmt) {
       if (!col.ok()) return col.status();
       item.column = std::move(col).value();
     }
-    if (AcceptKeyword("as")) {
+    if (AcceptKeyword(Keyword::kAs)) {
       const Token& alias = Peek();
       if (alias.type != TokenType::kIdent) {
         return ErrorAt(alias, "expected output alias");
@@ -178,20 +173,20 @@ Status Parser::ParseSelectList(ast::SelectStatement* stmt) {
 
 StatusOr<ast::TableRef> Parser::ParseTableRef() {
   const Token& name = Peek();
-  if (name.type != TokenType::kIdent || IsReserved(name)) {
+  if (name.type != TokenType::kIdent || name.IsReserved()) {
     return Status(StatusCode::kParseError,
                   StrFormat("expected table name, found %s at offset %d",
                             name.ToString().c_str(), name.offset));
   }
   ast::TableRef ref;
   ref.table_name = Next().text;
-  if (AcceptKeyword("as")) {
+  if (AcceptKeyword(Keyword::kAs)) {
     const Token& alias = Peek();
     if (alias.type != TokenType::kIdent) {
       return ErrorAt(alias, "expected alias after AS");
     }
     ref.alias = Next().text;
-  } else if (Peek().type == TokenType::kIdent && !IsReserved(Peek())) {
+  } else if (Peek().type == TokenType::kIdent && !Peek().IsReserved()) {
     ref.alias = Next().text;
   }
   return ref;
@@ -205,22 +200,22 @@ Status Parser::ParseFromList(ast::SelectStatement* stmt) {
     item.table = std::move(base).value();
     while (true) {
       bool left_outer = false;
-      if (Peek().IsKeyword("left")) {
+      if (Peek().IsKeyword(Keyword::kLeft)) {
         Next();
-        AcceptKeyword("outer");
+        AcceptKeyword(Keyword::kOuter);
         left_outer = true;
-        COTE_RETURN_NOT_OK(ExpectKeyword("join"));
-      } else if (Peek().IsKeyword("inner")) {
+        COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kJoin));
+      } else if (Peek().IsKeyword(Keyword::kInner)) {
         Next();
-        COTE_RETURN_NOT_OK(ExpectKeyword("join"));
-      } else if (Peek().IsKeyword("join")) {
+        COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kJoin));
+      } else if (Peek().IsKeyword(Keyword::kJoin)) {
         Next();
       } else {
         break;
       }
       auto ref = ParseTableRef();
       if (!ref.ok()) return ref.status();
-      COTE_RETURN_NOT_OK(ExpectKeyword("on"));
+      COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kOn));
       auto conj = ParseConjunction();
       if (!conj.ok()) return conj.status();
       ast::JoinClause jc;
@@ -240,7 +235,7 @@ StatusOr<std::vector<ast::Predicate>> Parser::ParseConjunction() {
     auto p = ParsePredicate();
     if (!p.ok()) return p.status();
     preds.push_back(std::move(p).value());
-  } while (AcceptKeyword("and"));
+  } while (AcceptKeyword(Keyword::kAnd));
   return preds;
 }
 
@@ -250,18 +245,18 @@ StatusOr<ast::Predicate> Parser::ParsePredicate() {
   ast::Predicate pred;
   pred.left = std::move(left).value();
 
-  if (AcceptKeyword("between")) {
+  if (AcceptKeyword(Keyword::kBetween)) {
     pred.op = ast::CompareOp::kBetween;
     auto lo = ParseLiteral();
     if (!lo.ok()) return lo.status();
     pred.literal = std::move(lo).value();
-    COTE_RETURN_NOT_OK(ExpectKeyword("and"));
+    COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kAnd));
     auto hi = ParseLiteral();
     if (!hi.ok()) return hi.status();
     pred.literal2 = std::move(hi).value();
     return pred;
   }
-  if (AcceptKeyword("like")) {
+  if (AcceptKeyword(Keyword::kLike)) {
     pred.op = ast::CompareOp::kLike;
     auto lit = ParseLiteral();
     if (!lit.ok()) return lit.status();
@@ -286,7 +281,8 @@ StatusOr<ast::Predicate> Parser::ParsePredicate() {
 
   // '(' SELECT ... ')' on the right side is an uncorrelated scalar
   // subquery: a separate query block.
-  if (Peek().IsSymbol("(") && tokens_[pos_ + 1].IsKeyword("select")) {
+  if (Peek().IsSymbol("(") &&
+      tokens_[pos_ + 1].IsKeyword(Keyword::kSelect)) {
     Next();  // consume '('
     auto sub = ParseSelect(/*top_level=*/false);
     if (!sub.ok()) return sub.status();
@@ -299,8 +295,8 @@ StatusOr<ast::Predicate> Parser::ParsePredicate() {
   // Column = column is a join predicate; otherwise expect a literal
   // (DATE '...'-style literals start with the non-reserved ident DATE).
   const Token& rhs = Peek();
-  if (rhs.type == TokenType::kIdent && !IsReserved(rhs) &&
-      !rhs.IsKeyword("date")) {
+  if (rhs.type == TokenType::kIdent && !rhs.IsReserved() &&
+      !rhs.IsKeyword(Keyword::kDate)) {
     auto right = ParseColumn();
     if (!right.ok()) return right.status();
     if (cmp != ast::CompareOp::kEq) {
@@ -318,7 +314,7 @@ StatusOr<ast::Predicate> Parser::ParsePredicate() {
 
 StatusOr<ast::ColumnName> Parser::ParseColumn() {
   const Token& first = Peek();
-  if (first.type != TokenType::kIdent || IsReserved(first)) {
+  if (first.type != TokenType::kIdent || first.IsReserved()) {
     return Status(StatusCode::kParseError,
                   StrFormat("expected column, found %s at offset %d",
                             first.ToString().c_str(), first.offset));
@@ -352,7 +348,7 @@ StatusOr<ast::Literal> Parser::ParseLiteral() {
     return lit;
   }
   // DATE 'yyyy-mm-dd' literals.
-  if (tok.IsKeyword("date")) {
+  if (tok.IsKeyword(Keyword::kDate)) {
     Next();
     const Token& str = Peek();
     if (str.type != TokenType::kString) {

@@ -52,9 +52,9 @@ class Parser {
 
   const Token& Peek() const { return tokens_[pos_]; }
   const Token& Next() { return tokens_[pos_++]; }
-  bool AcceptKeyword(const char* kw);
+  bool AcceptKeyword(Keyword kw);
   bool AcceptSymbol(const char* sym);
-  Status ExpectKeyword(const char* kw);
+  Status ExpectKeyword(Keyword kw);
   Status ExpectSymbol(const char* sym);
   Status ErrorAt(const Token& tok, const std::string& what) const;
 

@@ -23,13 +23,6 @@ TEST(StrUtilTest, ToLower) {
   EXPECT_EQ(ToLower("abc_123"), "abc_123");
 }
 
-TEST(StrUtilTest, EqualsIgnoreCase) {
-  EXPECT_TRUE(EqualsIgnoreCase("SELECT", "select"));
-  EXPECT_TRUE(EqualsIgnoreCase("", ""));
-  EXPECT_FALSE(EqualsIgnoreCase("selects", "select"));
-  EXPECT_FALSE(EqualsIgnoreCase("selecd", "select"));
-}
-
 TEST(StrUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(1.23456, 2), "1.23");
   EXPECT_EQ(FormatDouble(1.0, 0), "1");
