@@ -1,67 +1,100 @@
 #include "query/equivalence.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 namespace cote {
 
-uint32_t ColumnEquivalence::Root(uint32_t x) const {
-  auto it = parent_.find(x);
-  if (it == parent_.end()) return x;
-  // Path halving.
-  while (it->second != x) {
-    auto up = parent_.find(it->second);
-    if (up == parent_.end() || up->second == it->second) {
-      return it->second;
-    }
-    it->second = up->second;
-    x = up->second;
-    it = parent_.find(x);
-    if (it == parent_.end()) return x;
+namespace {
+
+ColumnRef Decode(uint32_t key) {
+  return ColumnRef(static_cast<int>(key >> 16), static_cast<int>(key & 0xffff));
+}
+
+}  // namespace
+
+int ColumnEquivalence::IndexOf(uint32_t key) const {
+  const Node* n = nodes();
+  for (uint32_t i = 0; i < size_; ++i) {
+    if (n[i].key == key) return static_cast<int>(i);
   }
-  return x;
+  return -1;
+}
+
+uint32_t ColumnEquivalence::FindOrInsert(uint32_t key) {
+  const int found = IndexOf(key);
+  if (found >= 0) return static_cast<uint32_t>(found);
+  const uint32_t i = size_;
+  if (i < kInlineNodes) {
+    inline_[i] = Node{key, i};
+  } else {
+    // First node past the inline array: move the list to the spill vector,
+    // which keeps its capacity across Clear().
+    if (i == kInlineNodes) spill_.assign(inline_.begin(), inline_.end());
+    spill_.push_back(Node{key, i});
+  }
+  ++size_;
+  return i;
+}
+
+uint32_t ColumnEquivalence::RootIndex(uint32_t i) const {
+  Node* n = nodes();
+  while (n[i].parent != i) {
+    const uint32_t up = n[i].parent;
+    const uint32_t grand = n[up].parent;
+    if (grand == up) return up;
+    n[i].parent = grand;  // path halving
+    i = grand;
+  }
+  return i;
 }
 
 void ColumnEquivalence::AddEquivalence(ColumnRef a, ColumnRef b) {
-  uint32_t ka = a.Encode(), kb = b.Encode();
-  // Probe before emplace: libstdc++'s unordered_map::emplace allocates the
-  // node before checking for a duplicate key, and this runs once per
-  // internal predicate per MEMO entry on the estimate-mode hot path.
-  // hotpath-ok: guarded insert — fires only the first time a key is seen
-  if (parent_.find(ka) == parent_.end()) parent_.emplace(ka, ka);
-  // hotpath-ok: guarded insert — fires only the first time a key is seen
-  if (parent_.find(kb) == parent_.end()) parent_.emplace(kb, kb);
-  uint32_t ra = Root(ka), rb = Root(kb);
+  const uint32_t ia = FindOrInsert(a.Encode());
+  const uint32_t ib = FindOrInsert(b.Encode());
+  const uint32_t ra = RootIndex(ia), rb = RootIndex(ib);
   if (ra == rb) return;
   // Keep the minimum encoding as the root so Find() is canonical.
-  uint32_t lo = std::min(ra, rb), hi = std::max(ra, rb);
-  parent_[hi] = lo;
+  Node* n = nodes();
+  if (n[ra].key < n[rb].key) {
+    n[rb].parent = ra;
+  } else {
+    n[ra].parent = rb;
+  }
 }
 
 void ColumnEquivalence::Flatten() {
-  // Root() only path-halves entries it traverses; it never inserts or
-  // erases, so mutating values while iterating is safe.
-  for (auto& [key, parent] : parent_) parent = Root(key);
+  Node* n = nodes();
+  for (uint32_t i = 0; i < size_; ++i) n[i].parent = RootIndex(i);
 }
 
 ColumnRef ColumnEquivalence::Find(ColumnRef c) const {
-  uint32_t r = Root(c.Encode());
-  return ColumnRef(static_cast<int>(r >> 16), static_cast<int>(r & 0xffff));
+  const int i = IndexOf(c.Encode());
+  if (i < 0) return c;
+  return Decode(nodes()[RootIndex(static_cast<uint32_t>(i))].key);
 }
 
 std::vector<std::vector<ColumnRef>> ColumnEquivalence::Classes() const {
-  std::map<uint32_t, std::vector<ColumnRef>> by_root;
-  for (const auto& [key, unused] : parent_) {
-    (void)unused;
-    ColumnRef c(static_cast<int>(key >> 16), static_cast<int>(key & 0xffff));
-    by_root[Root(key)].push_back(c);
+  // (root key, member key) pairs sorted: classes come out grouped, in
+  // ascending root order, each with its members ascending.
+  std::vector<std::pair<uint32_t, uint32_t>> members;
+  members.reserve(size_);
+  const Node* n = nodes();
+  for (uint32_t i = 0; i < size_; ++i) {
+    members.emplace_back(n[RootIndex(i)].key, n[i].key);
   }
+  std::sort(members.begin(), members.end());
   std::vector<std::vector<ColumnRef>> out;
-  for (auto& [root, members] : by_root) {
-    (void)root;
-    if (members.size() < 2) continue;
-    std::sort(members.begin(), members.end());
-    out.push_back(std::move(members));
+  for (size_t lo = 0; lo < members.size();) {
+    size_t hi = lo + 1;
+    while (hi < members.size() && members[hi].first == members[lo].first) {
+      ++hi;
+    }
+    if (hi - lo >= 2) {
+      std::vector<ColumnRef>& cls = out.emplace_back();
+      for (size_t k = lo; k < hi; ++k) cls.push_back(Decode(members[k].second));
+    }
+    lo = hi;
   }
   return out;
 }

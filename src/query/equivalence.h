@@ -1,7 +1,8 @@
 #ifndef COTE_QUERY_EQUIVALENCE_H_
 #define COTE_QUERY_EQUIVALENCE_H_
 
-#include <unordered_map>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "query/column_ref.h"
@@ -16,6 +17,13 @@ namespace cote {
 /// applied within that entry's table set) and canonicalizes property columns
 /// through it; the paper notes that "equivalence needs to be checked for
 /// each enumerated join" (§3.3).
+///
+/// Storage is a flat node list — (column, parent index) pairs in insertion
+/// order — searched linearly: an entry's equivalence holds a few columns
+/// per applied predicate, which a scan covers faster than a hash probe.
+/// The first kInlineNodes nodes live inside the object, so small instances
+/// never touch the heap; larger ones spill to a vector whose capacity
+/// Clear() keeps.
 class ColumnEquivalence {
  public:
   ColumnEquivalence() = default;
@@ -31,26 +39,50 @@ class ColumnEquivalence {
     return Find(a) == Find(b);
   }
 
-  /// All classes with at least two members, each sorted ascending.
+  /// All classes with at least two members, each sorted ascending, in
+  /// ascending order of their representatives.
   std::vector<std::vector<ColumnRef>> Classes() const;
 
   /// Points every member directly at its root. After flattening (and until
-  /// the next AddEquivalence) Find/Root are pure reads — path halving never
+  /// the next AddEquivalence) Find is a pure read — path halving never
   /// fires — so a flattened instance may be shared across threads. Called
   /// on the query graph's global equivalence when its lazy build completes.
   void Flatten();
 
-  /// Forgets every equivalence. Bucket storage is retained, so an instance
+  /// Forgets every equivalence. Spilled storage is retained, so an instance
   /// embedded in reusable per-entry state can be cleared on a session
-  /// rebind without churning the allocator on the next build-up.
-  void Clear() { parent_.clear(); }
+  /// rebind and rebuilt to the same size without allocating.
+  void Clear() {
+    size_ = 0;
+    spill_.clear();
+  }
 
  private:
-  uint32_t Root(uint32_t x) const;
+  /// Nodes held inside the object before the list spills to the heap.
+  static constexpr uint32_t kInlineNodes = 16;
 
-  // parent_[x] == x for roots. Roots are maintained as the class minimum so
-  // Find() is canonical without a second pass.
-  mutable std::unordered_map<uint32_t, uint32_t> parent_;
+  struct Node {
+    uint32_t key;     ///< ColumnRef::Encode() of the member
+    uint32_t parent;  ///< node index; == own index for roots
+  };
+
+  /// The live node list: the inline array up to kInlineNodes nodes, the
+  /// spill vector (holding every node) beyond.
+  Node* nodes() const {
+    return size_ <= kInlineNodes ? inline_.data() : spill_.data();
+  }
+  /// Index of the node for `key`, or -1.
+  int IndexOf(uint32_t key) const;
+  /// Index of the node for `key`, appending a singleton node if absent.
+  uint32_t FindOrInsert(uint32_t key);
+  /// Root index of node `i`, path-halving on the way.
+  uint32_t RootIndex(uint32_t i) const;
+
+  // Roots are maintained as the class minimum so Find() is canonical
+  // without a second pass. Parents are mutable for path halving.
+  uint32_t size_ = 0;
+  mutable std::array<Node, kInlineNodes> inline_{};
+  mutable std::vector<Node> spill_;
 };
 
 }  // namespace cote
