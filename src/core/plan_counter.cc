@@ -188,17 +188,18 @@ void PlanCounter::InitializeEntry(TableSet s) {
     const int t = s.First();
     const Table* table = graph_->table_ref(t).table;
     const PartitioningSpec& spec = table->partitioning();
-    auto seed = [&state](PartitionProperty p) {
+    auto seed = [&state](const PartitionProperty& p) {
       if (std::find(state.partitions.begin(), state.partitions.end(), p) ==
           state.partitions.end()) {
-        state.partitions.push_back(std::move(p));
+        state.partitions.push_back(p);
       }
     };
     switch (spec.kind) {
       case PartitionKind::kHash: {
         cols_scratch_.clear();
         for (int ord : spec.key_columns) cols_scratch_.emplace_back(t, ord);
-        seed(PartitionProperty::Hash(cols_scratch_));
+        hash_scratch_.AssignHash(cols_scratch_);
+        seed(hash_scratch_);
         break;
       }
       case PartitionKind::kReplicated:
@@ -215,8 +216,10 @@ void PlanCounter::InitializeEntry(TableSet s) {
     for (const JoinPredicate& pred : graph_->join_predicates()) {
       ColumnRef side = pred.SideIn(t);
       if (!side.valid()) continue;
-      PartitionProperty target =
-          PartitionProperty::Hash({side}).Canonicalize(state.equiv);
+      cols_scratch_.assign(1, side);
+      hash_scratch_.AssignHash(cols_scratch_);
+      hash_scratch_.CanonicalizeInto(state.equiv, &part_scratch_);
+      const PartitionProperty& target = part_scratch_;
       if (std::find(state.partitions.begin(), state.partitions.end(),
                     target) == state.partitions.end()) {
         state.partitions.push_back(target);
@@ -225,19 +228,22 @@ void PlanCounter::InitializeEntry(TableSet s) {
   }
 
   if (options_.multi_property == MultiPropertyMode::kCompound) {
-    PartitionProperty base = options_.parallel && !state.partitions.empty()
-                                 ? state.partitions[0]
-                                 : PartitionProperty::Serial();
+    // Every pair shares the base partition; copy-assigning into the
+    // scratch pair keeps its buffers.
+    const PartitionProperty serial;
+    compound_scratch_.second = options_.parallel && !state.partitions.empty()
+                                   ? state.partitions[0]
+                                   : serial;
     // Deduped for the same idempotence reason as the partition seeding.
-    auto seed = [&state](const OrderProperty& o, const PartitionProperty& p) {
-      auto pair = std::make_pair(o, p);
-      if (std::find(state.compound.begin(), state.compound.end(), pair) ==
-          state.compound.end()) {
-        state.compound.push_back(std::move(pair));
+    auto seed = [this, &state](const OrderProperty& o) {
+      compound_scratch_.first = o;
+      if (std::find(state.compound.begin(), state.compound.end(),
+                    compound_scratch_) == state.compound.end()) {
+        state.compound.push_back(compound_scratch_);
       }
     };
-    seed(OrderProperty::None(), base);
-    for (const OrderProperty& o : state.orders) seed(o, base);
+    seed(OrderProperty::None());
+    for (const OrderProperty& o : state.orders) seed(o);
   }
 }
 
@@ -276,8 +282,8 @@ void PlanCounter::PropagatePartitions(const EntryState& from, TableSet j,
 void PlanCounter::JoinPartitions(const EntryState& s, const EntryState& l,
                                  const std::vector<ColumnRef>& jcols,
                                  const EntryState& j,
-                                 std::vector<PartitionProperty>* out_vec) {
-  std::vector<PartitionProperty>& out = *out_vec;
+                                 SlotVector<PartitionProperty>* out_vec) {
+  SlotVector<PartitionProperty>& out = *out_vec;
   out.clear();
   if (!options_.parallel) {
     out.push_back(PartitionProperty::Serial());
@@ -305,7 +311,10 @@ void PlanCounter::JoinPartitions(const EntryState& s, const EntryState& l,
   if (has_single(s) && has_single(l)) add(PartitionProperty::SingleNode());
   // The DB2 repartition heuristic: no input partitioned on a join column →
   // both sides are repartitioned, creating a new partition value (§4).
-  if (out.empty() && !jcols.empty()) add(PartitionProperty::Hash(jcols));
+  if (out.empty() && !jcols.empty()) {
+    hash_scratch_.AssignHash(jcols);
+    add(hash_scratch_);
+  }
   if (out.empty()) add(PartitionProperty::SingleNode());
 }
 
@@ -350,18 +359,19 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
       PropagatePartitions(l, jset, &j);
     }
     if (options_.multi_property == MultiPropertyMode::kCompound) {
+      auto& [canon_o, canon_p] = compound_scratch_;
       for (const EntryState* e : {&s, &l}) {
         for (const auto& [o, pt] : e->compound) {
-          OrderProperty canon_o = o.Canonicalize(j.equiv);
+          o.CanonicalizeInto(j.equiv, &canon_o);
           if (!canon_o.IsNone() &&
-              !interesting_->Useful(canon_o, jset, j.equiv)) {
-            canon_o = OrderProperty::None();  // component retired
+              !interesting_->Useful(canon_o, jset, j.equiv,
+                                    &interest_scratch_)) {
+            canon_o.Assign({});  // component retired (buffer kept)
           }
-          PartitionProperty canon_p = pt.Canonicalize(j.equiv);
-          auto pair = std::make_pair(canon_o, canon_p);
-          if (std::find(j.compound.begin(), j.compound.end(), pair) ==
-              j.compound.end()) {
-            j.compound.push_back(pair);
+          pt.CanonicalizeInto(j.equiv, &canon_p);
+          if (std::find(j.compound.begin(), j.compound.end(),
+                        compound_scratch_) == j.compound.end()) {
+            j.compound.push_back(compound_scratch_);
           }
         }
       }
@@ -379,18 +389,19 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
     }
   }
   JoinPartitions(s, l, jcols_, j, &jparts_);
-  bool fresh_target =
-      options_.parallel && jparts_.size() == 1 && !jcols_.empty() &&
-      jparts_[0] == PartitionProperty::Hash(jcols_) &&
-      [&] {
-        for (const EntryState* e : {&s, &l}) {
-          for (const PartitionProperty& p : e->partitions) {
-            p.CanonicalizeInto(j.equiv, &part_scratch_);
-            if (part_scratch_ == jparts_[0]) return false;
-          }
+  bool fresh_target = false;
+  if (options_.parallel && jparts_.size() == 1 && !jcols_.empty()) {
+    hash_scratch_.AssignHash(jcols_);
+    fresh_target = jparts_[0] == hash_scratch_ && [&] {
+      for (const EntryState* e : {&s, &l}) {
+        for (const PartitionProperty& p : e->partitions) {
+          p.CanonicalizeInto(j.equiv, &part_scratch_);
+          if (part_scratch_ == jparts_[0]) return false;
         }
-        return true;
-      }();
+      }
+      return true;
+    }();
+  }
   if (fresh_target) {
     // The new partition value becomes interesting for the joined entry.
     if (std::find(j.partitions.begin(), j.partitions.end(), jparts_[0]) ==

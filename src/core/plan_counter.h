@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/flat_set_index.h"
+#include "common/slot_vector.h"
 #include "optimizer/cost/cardinality.h"
 #include "optimizer/enumerator.h"
 #include "optimizer/properties/interesting_orders.h"
@@ -122,15 +123,17 @@ class PlanCounter : public JoinVisitor {
   /// warm reruns exact.
   void AdoptShardRank(PlanCounter* shard);
 
-  /// Property-list state of one MEMO entry.
+  /// Property-list state of one MEMO entry. The lists are SlotVectors:
+  /// clearing one keeps its OrderProperty / PartitionProperty slots (and
+  /// their column buffers) for the next query bound to this arena slot.
   struct EntryState {
     ColumnEquivalence equiv;
     double cardinality = -1;
-    std::vector<OrderProperty> orders;
-    std::vector<PartitionProperty> partitions;
+    SlotVector<OrderProperty> orders;
+    SlotVector<PartitionProperty> partitions;
     /// kCompound mode only: (order, partition) vectors; order may be None
     /// when that component has retired.
-    std::vector<std::pair<OrderProperty, PartitionProperty>> compound;
+    SlotVector<std::pair<OrderProperty, PartitionProperty>> compound;
     // First-join-only bookkeeping (§4 item 4): the first unordered split
     // reaching this entry is the one allowed to propagate properties.
     bool propagated = false;
@@ -138,8 +141,7 @@ class PlanCounter : public JoinVisitor {
     uint64_t first_inner_bits = 0;
 
     /// Returns the state to its just-constructed condition while keeping
-    /// the capacity of every property list (vector clear() retains
-    /// storage; the equivalence keeps its bucket array), so a recycled
+    /// every property slot and the equivalence's storage, so a recycled
     /// arena slot rebuilds without re-growing.
     void Clear() {
       equiv.Clear();
@@ -184,7 +186,7 @@ class PlanCounter : public JoinVisitor {
   void JoinPartitions(const EntryState& s, const EntryState& l,
                       const std::vector<ColumnRef>& jcols,
                       const EntryState& j,
-                      std::vector<PartitionProperty>* out);
+                      SlotVector<PartitionProperty>* out);
 
   // Pointers (never null) rather than references so Rebind can retarget
   // the counter; the constructor still takes references.
@@ -221,7 +223,7 @@ class PlanCounter : public JoinVisitor {
   // listp_/listc_ hold indices into canon_inputs_, which is deduped, so
   // index identity doubles as value identity.
   std::vector<ColumnRef> jcols_;
-  std::vector<PartitionProperty> jparts_;
+  SlotVector<PartitionProperty> jparts_;
   std::vector<OrderProperty> canon_inputs_;
   std::vector<OrderProperty> distinct_orders_;
   std::vector<int> listp_;
@@ -236,6 +238,8 @@ class PlanCounter : public JoinVisitor {
   OrderProperty canon_order_scratch_;
   OrderProperty interest_scratch_;
   PartitionProperty part_scratch_;
+  PartitionProperty hash_scratch_;
+  std::pair<OrderProperty, PartitionProperty> compound_scratch_;
 };
 
 }  // namespace cote

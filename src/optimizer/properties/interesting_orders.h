@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/slot_vector.h"
 #include "common/table_set.h"
 #include "optimizer/properties/order_property.h"
 #include "query/query_graph.h"
@@ -48,7 +49,12 @@ class InterestingOrders {
  public:
   explicit InterestingOrders(const QueryGraph& graph);
 
-  const std::vector<OrderInterest>& interests() const { return interests_; }
+  /// Re-derives the interests for another query in place. The interest
+  /// list and the derivation scratch keep their storage, so a session
+  /// rebinding to a same-or-smaller query allocates nothing.
+  void Rebind(const QueryGraph& graph);
+
+  const SlotVector<OrderInterest>& interests() const { return interests_; }
 
   /// True if interest `i` is applicable to entry `s` (all its columns are
   /// available) and still interesting above `s` (not retired).
@@ -77,8 +83,25 @@ class InterestingOrders {
               OrderProperty* canon_scratch) const;
 
  private:
-  const QueryGraph& graph_;
-  std::vector<OrderInterest> interests_;
+  /// Appends the interest (cols, source, pred_index) unless it is empty or
+  /// already listed.
+  void Add(const std::vector<ColumnRef>& cols, OrderSource source,
+           int pred_index);
+
+  // Pointer (never null) rather than reference so Rebind can retarget.
+  const QueryGraph* graph_;
+  SlotVector<OrderInterest> interests_;
+  // Derivation scratch (capacity retained across rebinds).
+  OrderInterest candidate_;
+  std::vector<ColumnRef> cols_scratch_;
+  std::vector<ColumnRef> cols_scratch2_;
+  /// (lower table, higher table, predicate index) per join predicate.
+  struct TablePairPred {
+    int lo;
+    int hi;
+    int pred;
+  };
+  std::vector<TablePairPred> pairs_scratch_;
 };
 
 }  // namespace cote

@@ -6,13 +6,24 @@
 
 namespace cote {
 
+void PartitionProperty::NormalizeKeys(std::vector<ColumnRef>* columns) {
+  std::sort(columns->begin(), columns->end());
+  columns->erase(std::unique(columns->begin(), columns->end()),
+                 columns->end());
+}
+
 PartitionProperty PartitionProperty::Hash(std::vector<ColumnRef> columns) {
   PartitionProperty p;
   p.kind_ = Kind::kHash;
-  std::sort(columns.begin(), columns.end());
-  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
+  NormalizeKeys(&columns);
   p.columns_ = std::move(columns);
   return p;
+}
+
+void PartitionProperty::AssignHash(const std::vector<ColumnRef>& columns) {
+  kind_ = Kind::kHash;
+  columns_ = columns;
+  NormalizeKeys(&columns_);
 }
 
 PartitionProperty PartitionProperty::Canonicalize(
@@ -29,9 +40,7 @@ void PartitionProperty::CanonicalizeInto(const ColumnEquivalence& equiv,
   out_cols.clear();
   if (kind_ != Kind::kHash) return;
   for (const ColumnRef& c : columns_) out_cols.push_back(equiv.Find(c));
-  std::sort(out_cols.begin(), out_cols.end());
-  out_cols.erase(std::unique(out_cols.begin(), out_cols.end()),
-                 out_cols.end());
+  NormalizeKeys(&out_cols);
 }
 
 bool PartitionProperty::Satisfies(const PartitionProperty& required) const {

@@ -37,6 +37,10 @@ class PartitionProperty {
     return p;
   }
 
+  /// Makes this a hash partitioning on `columns`, reusing this property's
+  /// key buffer: the allocation-free form of Hash() for scratch objects.
+  void AssignHash(const std::vector<ColumnRef>& columns);
+
   Kind kind() const { return kind_; }
   /// Hash key columns, kept sorted (set semantics).
   const std::vector<ColumnRef>& columns() const { return columns_; }
@@ -67,6 +71,9 @@ class PartitionProperty {
   std::string ToString() const;
 
  private:
+  /// Sorts and dedupes hash keys in place (set semantics).
+  static void NormalizeKeys(std::vector<ColumnRef>* columns);
+
   Kind kind_;
   std::vector<ColumnRef> columns_;
 };

@@ -55,30 +55,29 @@ bool CompilationContext::Reset(const QueryGraph& graph) {
   }
   graph_ = &graph;
   fingerprint_ = fp;
-  refined_card_.reset();
-  simple_card_.reset();
-  interesting_.reset();
-  // Counter and enumerator are kept alive (their arenas are the point of
-  // the session); the cleared flags make the accessors Rebind() them to
-  // the new query on first use.
+  // Every per-query component is kept alive (its storage is the point of
+  // the session); the cleared flags make the accessors Rebind() it to the
+  // new query on first use.
+  UnbindComponents();
+  ++stats_.context_rebinds;
+  return false;
+}
+
+void CompilationContext::UnbindComponents() {
+  refined_card_bound_ = false;
+  simple_card_bound_ = false;
+  interesting_bound_ = false;
   counter_bound_ = false;
   enumerator_bound_ = false;
   shard_counters_bound_ = false;
-  ++stats_.context_rebinds;
-  return false;
 }
 
 void CompilationContext::AbandonBinding() {
   graph_ = nullptr;
   fingerprint_ = 0;
-  refined_card_.reset();
-  simple_card_.reset();
-  interesting_.reset();
-  // Counter and enumerator objects survive (arena reuse); the cleared
-  // flags force a Rebind on next use, which drops all their entry state.
-  counter_bound_ = false;
-  enumerator_bound_ = false;
-  shard_counters_bound_ = false;
+  // The component objects survive (storage reuse); the cleared flags
+  // force a Rebind on next use, which drops all their per-query state.
+  UnbindComponents();
 }
 
 void CompilationContext::Invalidate() {
@@ -89,14 +88,12 @@ void CompilationContext::Invalidate() {
   interesting_.reset();
   counter_.reset();
   enumerator_.reset();
-  counter_bound_ = false;
-  enumerator_bound_ = false;
   // The parallel enumerator (worker team) survives — it holds no query
   // state beyond the reusable bitmap — but the shard counters and their
   // graph-referencing cardinality models are dropped with the rest.
   shard_counters_.clear();
   shard_simple_cards_.clear();
-  shard_counters_bound_ = false;
+  UnbindComponents();
 }
 
 const QueryGraph& CompilationContext::graph() const {
@@ -106,8 +103,12 @@ const QueryGraph& CompilationContext::graph() const {
 
 const CardinalityModel& CompilationContext::refined_cardinality() {
   if (!refined_card_) {
+    // hotpath-ok: built once per session, then rebound in place
     refined_card_.emplace(graph(), /*use_key_refinement=*/true);
+  } else if (!refined_card_bound_) {
+    refined_card_->Rebind(graph());
   }
+  refined_card_bound_ = true;
   return *refined_card_;
 }
 
@@ -115,18 +116,29 @@ const CardinalityModel& CompilationContext::simple_cardinality() {
   // Estimate mode uses the simple model: no key/FD refinement, exactly
   // like the paper's prototype (§4/§5.2).
   if (!simple_card_) {
+    // hotpath-ok: built once per session, then rebound in place
     simple_card_.emplace(graph(), /*use_key_refinement=*/false);
+  } else if (!simple_card_bound_) {
+    simple_card_->Rebind(graph());
   }
+  simple_card_bound_ = true;
   return *simple_card_;
 }
 
 const InterestingOrders& CompilationContext::interesting_orders() {
-  if (!interesting_) interesting_.emplace(graph());
+  if (!interesting_) {
+    // hotpath-ok: built once per session, then rebound in place
+    interesting_.emplace(graph());
+  } else if (!interesting_bound_) {
+    interesting_->Rebind(graph());
+  }
+  interesting_bound_ = true;
   return *interesting_;
 }
 
 PlanCounter& CompilationContext::counter() {
   if (!counter_) {
+    // hotpath-ok: built once per session, then rebound in place
     counter_.emplace(graph(), interesting_orders(), simple_cardinality(),
                      counter_options_);
     counter_bound_ = true;
@@ -165,19 +177,25 @@ ParallelEnumerator& CompilationContext::parallel_enumerator() {
 
 PlanCounter& CompilationContext::shard_counter(int w) {
   if (!shard_counters_bound_) {
-    const int workers = options_.parallel_workers;
+    const size_t workers = static_cast<size_t>(options_.parallel_workers);
     // Per-worker simple models: CardinalityModel memoizes internally
-    // without synchronization, so workers must not share one. Rebuilt
-    // per cold bind (they reference the bound graph).
-    shard_simple_cards_.clear();
-    for (int i = 0; i < workers; ++i) {
-      shard_simple_cards_.emplace_back(graph(), /*use_key_refinement=*/false);
-    }
-    for (int i = 0; i < workers; ++i) {
-      if (static_cast<size_t>(i) < shard_counters_.size()) {
-        shard_counters_[static_cast<size_t>(i)].Rebind(
-            graph(), interesting_orders(), shard_simple_cards_[i]);
+    // without synchronization, so workers must not share one. Built on
+    // first use, then rebound in place like the shard counters.
+    for (size_t i = 0; i < workers; ++i) {
+      if (i < shard_simple_cards_.size()) {
+        shard_simple_cards_[i].Rebind(graph());
       } else {
+        // hotpath-ok: built once per session, then rebound in place
+        shard_simple_cards_.emplace_back(graph(),
+                                         /*use_key_refinement=*/false);
+      }
+    }
+    for (size_t i = 0; i < workers; ++i) {
+      if (i < shard_counters_.size()) {
+        shard_counters_[i].Rebind(graph(), interesting_orders(),
+                                  shard_simple_cards_[i]);
+      } else {
+        // hotpath-ok: built once per session, then rebound in place
         shard_counters_.emplace_back(graph(), interesting_orders(),
                                      shard_simple_cards_[i],
                                      counter_options_);

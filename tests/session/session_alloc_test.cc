@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "session/session.h"
 #include "workload/workload.h"
 
@@ -100,27 +102,46 @@ TEST(SessionAllocSteadyTest, ArmedUntrippedBudgetAllocatesNothing) {
 }
 
 TEST(SessionAllocSteadyTest, CrossQueryRebindReusesArenas) {
-  // Alternating between two queries is not allocation-*free* (entry
-  // property lists are rebuilt per cold bind), but it must be allocation-
-  // *steady*: once both queries have been seen, a further round allocates
-  // no more than the round before it — the arenas stopped growing.
-  Workload w = StarWorkload();
-  const QueryGraph& a = w.queries[4];
-  const QueryGraph& b = w.queries[9];
-  TimeModel model;
-  CompilationSession session(SmallOptions());
-  session.Estimate(a, model);
-  session.Estimate(b, model);
+  // Alternating between two queries of different sizes makes every
+  // estimate a cold bind. Once both have been seen, the session's storage
+  // covers them: the cardinality models, interesting orders and counter
+  // rebind in place, and each recycled entry slot keeps its property
+  // values' buffers — so a further round allocates nothing at all.
+  for (const char* shape : {"linear", "star", "random"}) {
+    for (bool parallel : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << shape << (parallel ? " Parallel(4)" : " default"));
+      Workload w = shape == std::string("star")     ? StarWorkload()
+                   : shape == std::string("linear") ? LinearWorkload()
+                                                    : RandomWorkload(6, 7);
+      const QueryGraph& a = w.queries[1];
+      const QueryGraph& b = w.queries[w.queries.size() - 2];
+      ASSERT_NE(a.num_tables(), b.num_tables());
+      TimeModel model;
+      CompilationSession session(parallel ? OptimizerOptions::Parallel(4)
+                                          : OptimizerOptions{});
+      CompileTimeEstimate a0 = session.Estimate(a, model);
+      CompileTimeEstimate b0 = session.Estimate(b, model);
 
-  testing::AllocationCounter first_round;
-  session.Estimate(a, model);
-  session.Estimate(b, model);
-  int64_t first = first_round.delta();
+      session.Estimate(a, model);
+      session.Estimate(b, model);
 
-  testing::AllocationCounter second_round;
-  session.Estimate(a, model);
-  session.Estimate(b, model);
-  EXPECT_LE(second_round.delta(), first);
+      testing::AllocationCounter second_round;
+      CompileTimeEstimate a2 = session.Estimate(a, model);
+      CompileTimeEstimate b2 = session.Estimate(b, model);
+      EXPECT_EQ(second_round.delta(), 0);
+      EXPECT_EQ(session.stats().context_rebinds, 6);
+      EXPECT_EQ(session.stats().warm_resets, 0);
+
+      // Every cold rebind reproduces the first estimate exactly.
+      for (int m = 0; m < kNumJoinMethods; ++m) {
+        EXPECT_EQ(a0.plan_estimates.counts[m], a2.plan_estimates.counts[m]);
+        EXPECT_EQ(b0.plan_estimates.counts[m], b2.plan_estimates.counts[m]);
+      }
+      EXPECT_EQ(a0.plan_slots, a2.plan_slots);
+      EXPECT_EQ(b0.plan_slots, b2.plan_slots);
+    }
+  }
 }
 
 }  // namespace
