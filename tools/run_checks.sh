@@ -42,6 +42,10 @@
 #                                     overload + faults + trips + external
 #                                     cancels through both front-ends,
 #                                     30 s per-test ceiling)
+#  10. benchmark helper self-test    (python3 perfbench/run.py --self-test:
+#                                     the unit tests of the benchmark's
+#                                     own helpers; skipped w/ notice if
+#                                     GTest is not installed)
 #
 # Usage: tools/run_checks.sh [--skip-san] [--jobs N]
 #   --skip-san   skip the (slow) sanitizer configure/build/test cycles
@@ -49,7 +53,8 @@
 #
 # Build trees live under build-checks/ (werror), build-checks-san/
 # (sanitized Debug), build-checks-tsan/ and build-checks-tsa/ (clang
-# thread-safety); all are disposable and gitignored.
+# thread-safety), plus the benchmark's own .bench_build/; all are
+# disposable and gitignored.
 
 set -u
 
@@ -93,7 +98,7 @@ skip() {
 }
 
 # ---- 1. warnings-as-errors build ------------------------------------------
-gate "1/9" "warnings-as-errors build (COTE_WERROR=ON)"
+gate "1/10" "warnings-as-errors build (COTE_WERROR=ON)"
 WERROR_DIR="$ROOT/build-checks"
 if cmake -S "$ROOT" -B "$WERROR_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCOTE_WERROR=ON >/dev/null \
@@ -104,7 +109,7 @@ else
 fi
 
 # ---- 2. full test suite ----------------------------------------------------
-gate "2/9" "full test suite (ctest)"
+gate "2/10" "full test suite (ctest)"
 if [ -f "$WERROR_DIR/CTestTestfile.cmake" ]; then
   if (cd "$WERROR_DIR" && ctest -j "$JOBS" --output-on-failure \
         >ctest.log 2>&1); then
@@ -118,7 +123,7 @@ else
 fi
 
 # ---- 3. clang-format (check-only; never reformats) -------------------------
-gate "3/9" "clang-format --dry-run -Werror"
+gate "3/10" "clang-format --dry-run -Werror"
 if command -v clang-format >/dev/null 2>&1; then
   FMT_FILES="$(cd "$ROOT" && git ls-files 'src/*.h' 'src/*.cc' \
                'tests/*.h' 'tests/*.cc' 'bench/*.cc' 'examples/*.cpp')"
@@ -132,7 +137,7 @@ else
 fi
 
 # ---- 4. clang-tidy ---------------------------------------------------------
-gate "4/9" "clang-tidy (.clang-tidy profile over src/)"
+gate "4/10" "clang-tidy (.clang-tidy profile over src/)"
 if command -v clang-tidy >/dev/null 2>&1; then
   # The werror tree always has a compilation database: the top-level
   # CMakeLists defaults CMAKE_EXPORT_COMPILE_COMMANDS to ON.
@@ -148,7 +153,7 @@ else
 fi
 
 # ---- 5. hot-path purity lint ----------------------------------------------
-gate "5/9" "hot-path purity lint (tools/hotpath_lint.py)"
+gate "5/10" "hot-path purity lint (tools/hotpath_lint.py)"
 if python3 "$ROOT/tools/hotpath_lint.py" --repo-root "$ROOT"; then
   echo "hotpath_lint: OK"
 else
@@ -177,7 +182,7 @@ fi
 # Selftest first (the lint must still catch its known-bad fixtures —
 # otherwise a clean tree result means nothing), then the tree + the
 # sync_inventory.json cross-check.
-gate "6/9" "determinism lint (tools/determinism_lint.py)"
+gate "6/10" "determinism lint (tools/determinism_lint.py)"
 if python3 "$ROOT/tools/determinism_lint.py" --selftest; then
   echo "determinism_lint selftest: OK"
 else
@@ -212,7 +217,7 @@ fi
 # which MUST fail. GCC-only machines skip: the macros are no-ops there
 # (gates 1/2/8/9 still compile and run them), and
 # tests/common/thread_annotations_test re-checks all of this in-suite.
-gate "7/9" "Clang thread-safety analysis (-Wthread-safety -Werror)"
+gate "7/10" "Clang thread-safety analysis (-Wthread-safety -Werror)"
 if command -v clang++ >/dev/null 2>&1; then
   TSA_DIR="$ROOT/build-checks-tsa"
   if cmake -S "$ROOT" -B "$TSA_DIR" -DCMAKE_CXX_COMPILER=clang++ \
@@ -243,10 +248,10 @@ fi
 # injection and parallel-session suites must demonstrably run inside it —
 # their error paths are exactly where sanitizers earn their keep.
 if [ "$SKIP_SAN" = 1 ]; then
-  gate "8/9" "Debug + ASan/UBSan cycle"
+  gate "8/10" "Debug + ASan/UBSan cycle"
   skip "sanitizer cycle (--skip-san)"
 else
-  gate "8/9" "Debug + ASan/UBSan cycle (COTE_SANITIZE=address,undefined)"
+  gate "8/10" "Debug + ASan/UBSan cycle (COTE_SANITIZE=address,undefined)"
   SAN_DIR="$ROOT/build-checks-san"
   if cmake -S "$ROOT" -B "$SAN_DIR" -DCMAKE_BUILD_TYPE=Debug \
         -DCOTE_SANITIZE=address,undefined >/dev/null \
@@ -302,10 +307,10 @@ fi
 # prohibitively slow and single-threaded tests have nothing for TSan to
 # find.
 if [ "$SKIP_SAN" = 1 ]; then
-  gate "9/9" "TSan cycle"
+  gate "9/10" "TSan cycle"
   skip "TSan cycle (--skip-san)"
 else
-  gate "9/9" "ThreadSanitizer cycle (COTE_SANITIZE=thread, session+service)"
+  gate "9/10" "ThreadSanitizer cycle (COTE_SANITIZE=thread, session+service)"
   TSAN_DIR="$ROOT/build-checks-tsan"
   if cmake -S "$ROOT" -B "$TSAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCOTE_SANITIZE=thread >/dev/null \
@@ -340,6 +345,26 @@ else
   else
     fail "TSan build"
   fi
+fi
+
+# ---- 10. benchmark helper self-test ----------------------------------------
+# The repository benchmark (perfbench/) is a stand-alone CMake package; its
+# helper unit tests build only on request and only where GTest is found, so
+# a GTest-less machine skips this gate instead of failing it.
+gate "10/10" "benchmark helper self-test (perfbench/run.py --self-test)"
+PERFBENCH_DIR="$ROOT/.bench_build/perfbench"
+mkdir -p "$ROOT/.bench_build"
+if (cd "$ROOT" && python3 perfbench/run.py --self-test \
+      >"$ROOT/.bench_build/self-test.log" 2>&1); then
+  echo "perfbench self-test: OK ($(grep -c '^\[       OK \]' \
+    "$ROOT/.bench_build/self-test.log" || true) tests)"
+elif [ -f "$PERFBENCH_DIR/CMakeCache.txt" ] && \
+     ! cmake --build "$PERFBENCH_DIR" --target help 2>/dev/null | \
+       grep -q perfbench_test; then
+  skip "GTest not found by perfbench/CMakeLists.txt; helper self-test not run"
+else
+  tail -40 "$ROOT/.bench_build/self-test.log"
+  fail "perfbench self-test (full log: $ROOT/.bench_build/self-test.log)"
 fi
 
 # ---------------------------------------------------------------------------
