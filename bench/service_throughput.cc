@@ -26,6 +26,10 @@
 // deadline misses on the deadline-carrying half of the stream. The async
 // mode shows the same policy ordering when its workers saturate.
 //
+// The scheduling samples above use a time model calibrated on this run.
+// The overload sweep that follows them uses a fixed model instead
+// (SweepTimeModel), so two runs print identical overload lines.
+//
 // Usage:
 //   service_throughput [--label NAME] [--out FILE] [--arrivals N]
 //                      [--max-tables N] [--mode simulated|async|both]
@@ -80,6 +84,35 @@ struct Sample {
   int64_t retried = 0;
   double p95_served_queue_seconds = 0;
 };
+
+/// The model behind the overload sweep: the coefficients of
+/// perfbench/models/serial.model, fitted for the same bench::SerialOptions
+/// (max_composite_inner = 2). The sweep runs on the virtual clock with
+/// estimate-derived service times, so with a model that does not change
+/// from run to run its samples replay bit for bit; a model fitted to this
+/// run's wall timings would move every predicted second, and with it the
+/// trace gaps, the patience ladder and the shed choices.
+TimeModel SweepTimeModel() {
+  TimeModel m;
+  m.ct[static_cast<int>(JoinMethod::kNljn)] = 0x1.1820b6f1b09ecp-18;
+  m.ct[static_cast<int>(JoinMethod::kMgjn)] = 0x1.5136c7d20e6c7p-16;
+  m.ct[static_cast<int>(JoinMethod::kHsjn)] = 0x1.53cf9acdfb1b3p-17;
+  return m;
+}
+
+/// Mean predicted compile seconds over `pool` under `model`: one warm
+/// estimate per query, the same path admission runs.
+double MeanPredictedSeconds(const std::vector<const QueryGraph*>& pool,
+                            const OptimizerOptions& options,
+                            const TimeModel& model) {
+  AdmissionStage probe(options, PlanCounterOptions(), model,
+                       AdmissionOptions(), nullptr, nullptr);
+  double sum = 0;
+  for (const QueryGraph* q : pool) {
+    sum += probe.Admit(*q, ServiceQueryClass(*q)).predicted_seconds;
+  }
+  return sum / static_cast<double>(pool.size());
+}
 
 double Percentile(std::vector<double> xs, int pct) {
   if (xs.empty()) return 0;
@@ -200,17 +233,8 @@ int main(int argc, char** argv) {
   std::printf("pool: %zu queries (<= %d tables)\n", pool.size(), max_tables);
 
   // Size the stream for ~1.2x offered load from the pool's mean predicted
-  // compile time (one warm estimate per query — the same path admission
-  // runs).
-  double mean_predicted = 0;
-  {
-    AdmissionStage probe(options, PlanCounterOptions(), model,
-                         AdmissionOptions(), nullptr, nullptr);
-    for (const QueryGraph* q : pool) {
-      mean_predicted += probe.Admit(*q, ServiceQueryClass(*q)).predicted_seconds;
-    }
-    mean_predicted /= static_cast<double>(pool.size());
-  }
+  // compile time.
+  const double mean_predicted = MeanPredictedSeconds(pool, options, model);
 
   ArrivalTraceOptions trace_options;
   trace_options.num_arrivals = arrivals;
@@ -302,8 +326,8 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------------
   // Overload sweep (DESIGN.md §16): offered load 0.5x/1x/2x/4x through
   // three front-door configurations, on the virtual clock with
-  // estimate-derived service times so the load multiplier is exact and
-  // the runs replay deterministically:
+  // estimate-derived service times from the fixed SweepTimeModel, so the
+  // load multiplier is exact and the runs replay bit for bit:
   //   unbounded-fifo    the pre-resilience service — no capacity, no
   //                     patience, no retry; every arrival waits forever;
   //   reject            capacity 8, typed refusal at the door, patience
@@ -326,10 +350,13 @@ int main(int argc, char** argv) {
       {"reject", OverloadPolicy::kReject, 8, 4.0, 1},
       {"shed-lowest-value", OverloadPolicy::kShedLowestValue, 8, 4.0, 1},
   };
+  const TimeModel sweep_model = SweepTimeModel();
+  const double sweep_mean_predicted =
+      MeanPredictedSeconds(pool, options, sweep_model);
   const auto make_sweep_trace = [&](int n, double load) {
     ArrivalTraceOptions t;
     t.num_arrivals = n;
-    t.mean_gap_seconds = mean_predicted / load;
+    t.mean_gap_seconds = sweep_mean_predicted / load;
     t.seed = 1234;
     return MakeOpenLoopTrace(pool, t);
   };
@@ -338,7 +365,7 @@ int main(int argc, char** argv) {
                                 const std::vector<Submission>& sweep_trace) {
     CompileServiceOptions o;
     o.optimizer = options;
-    o.time_model = model;
+    o.time_model = sweep_model;
     o.num_workers = 1;
     o.policy = SchedulingPolicy::kFifo;
     o.time_source = ServiceTimeSource::kEstimate;
