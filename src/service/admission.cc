@@ -24,20 +24,18 @@ AdmissionOutcome AdmissionStage::Admit(const QueryGraph& graph,
 
   if (cache_ != nullptr) {
     if (std::optional<double> cached = cache_->Lookup(graph)) {
+      // The cached *measured* seconds stand in for the estimate. Only a
+      // deadline can be derived from seconds alone — the count caps stay
+      // unlimited (LimitsPolicy::DeriveFromSeconds).
       out.cache_hit = true;
-      if (admission_.skip_estimate_on_cache_hit) {
-        // The cached *measured* seconds stand in for the estimate. Only a
-        // deadline can be derived from seconds alone — the count caps
-        // stay unlimited (LimitsPolicy::DeriveFromSeconds).
-        out.predicted_seconds = *cached;
-        out.patience_seconds =
-            admission_.limits_policy.DerivePatience(out.predicted_seconds);
-        if (admission_.derive_limits) {
-          out.limits = admission_.limits_policy.DeriveFromSeconds(
-              *cached, out.headroom_multiplier);
-        }
-        return out;
+      out.predicted_seconds = *cached;
+      out.patience_seconds =
+          admission_.limits_policy.DerivePatience(out.predicted_seconds);
+      if (admission_.derive_limits) {
+        out.limits = admission_.limits_policy.DeriveFromSeconds(
+            *cached, out.headroom_multiplier);
       }
+      return out;
     }
   }
 

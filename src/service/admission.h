@@ -10,10 +10,6 @@
 namespace cote {
 
 struct AdmissionOptions {
-  /// Signature hit in the statement cache ⇒ reuse the cached measured
-  /// seconds as the prediction and skip estimation entirely — the hit
-  /// already answers the only question the estimate would.
-  bool skip_estimate_on_cache_hit = true;
   /// Derive per-query ResourceLimits from the prediction; off = every
   /// query runs ungoverned (unlimited).
   bool derive_limits = true;
@@ -46,8 +42,10 @@ struct AdmissionOutcome {
 /// \brief The estimate-first admission stage.
 ///
 /// Every submission passes through here before it is scheduled: consult
-/// the statement cache by structural signature (skipping estimation on a
-/// hit), otherwise run the warm zero-allocation estimate path, then
+/// the statement cache by structural signature — a hit reuses the cached
+/// measured seconds as the prediction and skips estimation entirely, since
+/// it already answers the only question the estimate would — otherwise
+/// run the warm zero-allocation estimate path, then
 /// derive the query's ResourceLimits from its own prediction via the
 /// shared LimitsPolicy — widened by the trip-rate tracker's multiplier
 /// for classes whose derived budgets keep tripping.

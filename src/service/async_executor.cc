@@ -4,40 +4,15 @@
 #include <chrono>
 
 #include "common/check.h"
-#include "common/str_util.h"
 #include "service/outcome.h"
 
 namespace cote {
 
-namespace {
-
-/// Whole patience intervals waited by `now_offset` — the tier demotion
-/// count (same arithmetic as the simulated front-end's, over wall time).
-int Demotions(const ReadyEntry& entry, double now_offset) {
-  if (entry.patience_seconds <= 0) return 0;
-  const double waited = now_offset - entry.ready_seconds;
-  if (waited < entry.patience_seconds) return 0;
-  return static_cast<int>(waited / entry.patience_seconds);
-}
-
-}  // namespace
-
 AsyncCompileService::AsyncCompileService(CompileServiceOptions options)
-    : options_(std::move(options)),
-      clock_(options_.clock != nullptr ? options_.clock : SystemClock::Get()),
-      cache_(options_.enable_cache
-                 ? std::make_unique<CompileTimeCache>(options_.cache_capacity)
-                 : nullptr),
-      tracker_(options_.trip_tracker),
-      admission_(options_.optimizer, options_.counter, options_.time_model,
-                 options_.admission, cache_.get(), &tracker_),
-      pool_(options_.num_workers, options_.optimizer, options_.counter),
-      queue_(options_.policy, options_.queue_capacity, options_.overload) {
-  if (cache_ != nullptr) {
-    cache_->SetAdmissionPolicy(
-        &ThresholdAdmission, &options_.cache_admission_threshold_seconds);
-  }
-  const int workers = pool_.num_workers();
+    : core_(std::move(options)),
+      queue_(core_.options().policy, core_.options().queue_capacity,
+             core_.options().overload) {
+  const int workers = core_.pool().num_workers();
   {
     MutexLock lock(mu_);
     inflight_.resize(static_cast<size_t>(workers));
@@ -50,48 +25,21 @@ AsyncCompileService::AsyncCompileService(CompileServiceOptions options)
 
 AsyncCompileService::~AsyncCompileService() { Shutdown(); }
 
-ServiceQueryRecord AsyncCompileService::MakeShedRecord(
-    const ReadyEntry& entry, const Pending& work, double at_offset,
-    Status status) const {
-  const AdmissionOutcome& adm = work.admission;
-  ServiceQueryRecord rec;
-  rec.ticket = entry.ticket;
-  rec.worker = -1;
-  rec.query_class = adm.query_class;
-  rec.arrival_seconds = work.arrival_seconds;
-  rec.start_seconds = at_offset;
-  rec.finish_seconds = at_offset;
-  rec.queue_seconds = at_offset - work.arrival_seconds;
-  rec.deadline_seconds = work.submission.deadline_seconds;
-  rec.predicted_seconds = adm.predicted_seconds;
-  rec.estimated = adm.estimated;
-  rec.cache_hit = adm.cache_hit;
-  rec.headroom_multiplier = adm.headroom_multiplier;
-  rec.status = std::move(status);
-  rec.tier = static_cast<int>(ServiceTier::kShed);
-  rec.retries = entry.retries;
-  rec.outcome = ClassifyRecord(rec);
-  return rec;
-}
-
 size_t AsyncCompileService::Submit(const Submission& submission) {
-  COTE_CHECK(submission.query != nullptr);
   // Admission on the caller thread: the stage's warm estimate session is
   // single-threaded, and the cache + tracker it consults are only ever
   // mutated on this same thread (at Drain), so admission never races the
   // workers — they touch neither. The estimate is paid before the
   // overload decision on purpose: the shed choice *is* estimate-derived.
-  Pending p;
-  p.submission = submission;
-  p.admission = admission_.Admit(*submission.query, submission.query_class);
-  const double now = clock_->NowSeconds();
+  ServiceTicket p = core_.Admit(submission);
+  const double now = core_.clock()->NowSeconds();
 
   size_t ticket;
   bool notify_worker = false;
   {
     MutexLock lock(mu_);
     COTE_CHECK(!stop_);  // Submit after Shutdown is a driver bug
-    if (options_.overload == OverloadPolicy::kBlock) {
+    if (core_.options().overload == OverloadPolicy::kBlock) {
       // Backpressure: the submitter waits at the door for a worker pop.
       // stop_ cannot rise mid-wait (Shutdown runs on this same driver
       // thread), so the predicate needs no stop clause.
@@ -100,25 +48,16 @@ size_t AsyncCompileService::Submit(const Submission& submission) {
     if (pending_.empty()) burst_epoch_ = now;
     p.arrival_seconds = now - burst_epoch_;
     ticket = pending_.size();
-    ReadyEntry entry;
-    entry.ticket = ticket;
-    entry.ready_seconds = p.arrival_seconds;
-    entry.predicted_seconds = p.admission.predicted_seconds;
-    entry.deadline_seconds = submission.deadline_seconds;
-    entry.patience_seconds = p.admission.patience_seconds;
     pending_.push_back(p);
     ++submitted_;
-    const OfferOutcome offer = queue_.Offer(entry);
+    const OfferOutcome offer = queue_.Offer(p.Entry(ticket));
     notify_worker = offer.admitted;
     if (offer.shed_incoming || offer.shed_existing) {
       // The refused ticket terminates right here on the caller thread:
       // its record is complete, it counts finished, and no worker will
       // ever see it — ticket conservation by construction.
-      completed_.push_back(MakeShedRecord(
-          offer.shed, pending_[offer.shed.ticket], p.arrival_seconds,
-          Status::Unavailable(StrFormat(
-              "compile queue full (capacity %zu, policy %s)",
-              queue_.capacity(), OverloadPolicyName(options_.overload)))));
+      completed_.push_back(core_.Shed(offer.shed, pending_[offer.shed.ticket],
+                                      p.arrival_seconds, /*expired=*/false));
       ++finished_;
     }
   }
@@ -127,9 +66,10 @@ size_t AsyncCompileService::Submit(const Submission& submission) {
 }
 
 void AsyncCompileService::WorkerLoop(int worker) {
+  Clock* clock = core_.clock();
   for (;;) {
     ReadyEntry entry;
-    Pending work;
+    ServiceTicket work;
     double epoch;
     int tier;
     {
@@ -141,18 +81,13 @@ void AsyncCompileService::WorkerLoop(int worker) {
       entry = queue_.PopNext();
       work = pending_[entry.ticket];
       epoch = burst_epoch_;
-      const double now_offset = clock_->NowSeconds() - epoch;
-      // Queue-wait expiry on the wall clock: each whole patience interval
-      // waited demotes one tier; past the ladder's bottom the entry is
-      // shed without compiling.
-      tier = std::min(static_cast<int>(ServiceTier::kShed),
-                      entry.tier + Demotions(entry, now_offset));
+      const double now_offset = clock->NowSeconds() - epoch;
+      // Queue-wait expiry on the wall clock: past the ladder's bottom the
+      // entry is shed without compiling.
+      tier = ServiceCore::TierAt(entry, now_offset);
       if (tier >= static_cast<int>(ServiceTier::kShed)) {
-        completed_.push_back(MakeShedRecord(
-            entry, work, now_offset,
-            Status::DeadlineExceeded(StrFormat(
-                "queue wait %.3fs exhausted patience %.3fs ladder",
-                now_offset - entry.ready_seconds, entry.patience_seconds))));
+        completed_.push_back(
+            core_.Shed(entry, work, now_offset, /*expired=*/true));
         ++finished_;
       } else {
         // Register for the cancellation supervisor before the compile
@@ -162,9 +97,9 @@ void AsyncCompileService::WorkerLoop(int worker) {
         InFlight& f = inflight_[static_cast<size_t>(worker)];
         f.active = true;
         f.ticket = entry.ticket;
-        f.start_seconds = clock_->NowSeconds();
+        f.start_seconds = clock->NowSeconds();
         f.patience_seconds = entry.patience_seconds;
-        f.budget = &pool_.session(worker).context().budget();
+        f.budget = &core_.pool().session(worker).context().budget();
       }
     }
     // The pop freed a queue slot either way; wake a kBlock submitter.
@@ -174,27 +109,20 @@ void AsyncCompileService::WorkerLoop(int worker) {
       continue;
     }
 
-    const ServiceQueryRecord rec =
-        CompileEntry(worker, entry, work, epoch, tier);
+    // The compile itself, lock-free on this worker's own session.
+    const ServiceQueryRecord rec = core_.Dispatch(
+        worker, entry, work, tier, clock->NowSeconds() - epoch);
 
     bool retried = false;
     {
       MutexLock lock(mu_);
       inflight_[static_cast<size_t>(worker)].active = false;
       inflight_[static_cast<size_t>(worker)].budget = nullptr;
-      // Bounded retry-with-degradation, same rule as the simulated
-      // front-end: a transient failure with budget left re-enqueues one
-      // tier down (capacity-blind — admission was paid once) and touches
-      // neither submitted_ nor finished_.
-      if (!rec.status.ok() && IsTransientFailure(rec.status.code()) &&
-          entry.retries < options_.max_retries) {
-        ReadyEntry again = entry;
-        again.ready_seconds = clock_->NowSeconds() - epoch;
-        again.tier =
-            std::min(static_cast<int>(ServiceTier::kGreedyOnly), tier + 1);
-        again.retries = entry.retries + 1;
+      // A retry touches neither submitted_ nor finished_.
+      ReadyEntry again;
+      retried = core_.Retry(rec, entry, clock->NowSeconds() - epoch, &again);
+      if (retried) {
         queue_.Push(again);
-        retried = true;
       } else {
         completed_.push_back(rec);
         ++finished_;
@@ -208,75 +136,14 @@ void AsyncCompileService::WorkerLoop(int worker) {
   }
 }
 
-ServiceQueryRecord AsyncCompileService::CompileEntry(int worker,
-                                                     const ReadyEntry& entry,
-                                                     const Pending& work,
-                                                     double epoch, int tier) {
-  const Submission& sub = work.submission;
-  const AdmissionOutcome& adm = work.admission;
-  ServiceQueryRecord rec;
-  rec.ticket = entry.ticket;
-  rec.worker = worker;
-  rec.query_class = adm.query_class;
-  rec.arrival_seconds = work.arrival_seconds;
-  rec.deadline_seconds = sub.deadline_seconds;
-  rec.predicted_seconds = adm.predicted_seconds;
-  rec.estimated = adm.estimated;
-  rec.cache_hit = adm.cache_hit;
-  rec.headroom_multiplier = adm.headroom_multiplier;
-  rec.tier = tier;
-  rec.retries = entry.retries;
-  // The tier transform, identical to the simulated front-end's: full
-  // limits, halved limits, or the ungoverned greedy-only compile.
-  ResourceLimits limits = adm.limits;
-  if (tier == static_cast<int>(ServiceTier::kBudgetHalved)) {
-    limits = HalveLimits(limits);
-  } else if (tier == static_cast<int>(ServiceTier::kGreedyOnly)) {
-    limits = ResourceLimits();
-  }
-  rec.limits = limits;
-
-  // The real compile, lock-free on this worker's own warm session; the
-  // observer ctx is stack-local, so trip evidence lands on this record
-  // no matter how dispatches interleave across workers.
-  DispatchTrace trace;
-  CompilationSession& session = pool_.session(worker);
-  session.SetStageObserver(&DispatchTraceObserver, &trace);
-  const double wall_before = clock_->NowSeconds();
-  StatusOr<OptimizeResult> result =
-      tier == static_cast<int>(ServiceTier::kGreedyOnly)
-          ? session.OptimizeGreedy(*sub.query)
-          : (limits.Unlimited() ? session.Optimize(*sub.query)
-                                : session.Optimize(*sub.query, limits));
-  const double wall_after = clock_->NowSeconds();
-  session.SetStageObserver(nullptr, nullptr);
-
-  rec.start_seconds = wall_before - epoch;
-  rec.queue_seconds = rec.start_seconds - rec.arrival_seconds;
-  rec.stage_events = trace.events;
-  rec.budget_tripped = trace.budget_tripped;
-  if (result.ok()) {
-    rec.degraded = result->degraded;
-    rec.tripped_limit = result->tripped_limit;
-    rec.degraded_stage = result->degraded_stage;
-  } else {
-    rec.status = result.status();
-  }
-  rec.service_seconds = options_.time_source == ServiceTimeSource::kClock
-                            ? wall_after - wall_before
-                            : adm.predicted_seconds;
-  rec.finish_seconds = rec.start_seconds + rec.service_seconds;
-  rec.outcome = ClassifyRecord(rec);
-  return rec;
-}
-
 ServiceReport AsyncCompileService::Drain() {
+  const CompileServiceOptions& options = core_.options();
   std::vector<ServiceQueryRecord> records;
-  std::vector<Pending> pending;
+  std::vector<ServiceTicket> pending;
   {
     MutexLock lock(mu_);
     while (finished_ < submitted_) {
-      if (options_.external_cancel_factor <= 0) {
+      if (options.external_cancel_factor <= 0) {
         done_cv_.Wait(mu_);
         continue;
       }
@@ -285,12 +152,12 @@ ServiceReport AsyncCompileService::Drain() {
       // trip is taken under mu_ while the registration is active, so it
       // can only reach the compile it names (see the class doc); the
       // cancelled compile notices at its next cooperative checkpoint.
-      done_cv_.WaitFor(mu_, options_.cancel_poll_seconds);
-      const double now = clock_->NowSeconds();
+      done_cv_.WaitFor(mu_, options.cancel_poll_seconds);
+      const double now = core_.clock()->NowSeconds();
       for (InFlight& f : inflight_) {
         if (!f.active || f.patience_seconds <= 0) continue;
         if (now - f.start_seconds >
-            f.patience_seconds * options_.external_cancel_factor) {
+            f.patience_seconds * options.external_cancel_factor) {
           // Deliberately re-tripped every poll while the registration
           // stays active: TripExternal is an idempotent first-trip-wins
           // CAS, and re-arming (the compile's own Arm resets the flag
@@ -309,69 +176,36 @@ ServiceReport AsyncCompileService::Drain() {
     burst_epoch_ = 0;
   }
   // Ticket order: input-order recovery, and — more importantly — a
-  // *deterministic* feedback order. Cache inserts and tracker records
-  // below run on this thread in ticket order regardless of the workers'
-  // completion interleaving, which is what lets the async burst match the
-  // simulated oracle's feedback state exactly.
+  // *deterministic* feedback order. The core commits each record (cache
+  // insert, tracker record, counters, observer) on this thread in ticket
+  // order regardless of the workers' completion interleaving, which is
+  // what lets the async burst match the simulated oracle's feedback state
+  // exactly.
   std::sort(records.begin(), records.end(),
             [](const ServiceQueryRecord& a, const ServiceQueryRecord& b) {
               return a.ticket < b.ticket;
             });
-
   ServiceReport report;
-  report.records = std::move(records);
-  for (ServiceQueryRecord& rec : report.records) {
-    const Pending& p = pending[rec.ticket];
-    const AdmissionOutcome& adm = p.admission;
-    // Feedback for compiled terminal attempts only — sheds never ran
-    // (their !ok status already skips the cache; their unlimited default
-    // limits already skip the tracker), and a greedy-tier run applied no
-    // budget, so it is silent toward the tracker. Mirrors the simulated
-    // front-end exactly: both test rec.limits, the *applied* limits.
-    if (cache_ != nullptr && !adm.cache_hit && rec.status.ok()) {
-      rec.cache_inserted =
-          cache_->Insert(*p.submission.query, rec.service_seconds,
-                         adm.predicted_seconds);
-    }
-    if (!rec.limits.Unlimited()) {
-      // Identical trip predicate to Run/CompileBatch (trip_tracker.h).
-      tracker_.Record(adm.query_class,
-                      IsBudgetTrip(rec.degraded, rec.status,
-                                   rec.budget_tripped));
-    }
-
-    if (rec.estimated) ++report.estimates;
-    if (rec.cache_hit) ++report.cache_hits;
-    if (rec.cache_inserted) ++report.cache_insertions;
-    if (rec.degraded) ++report.degraded;
-    if (!rec.status.ok()) ++report.failed;
-    if (rec.deadline_seconds > 0 &&
-        rec.finish_seconds > rec.deadline_seconds) {
-      ++report.deadline_misses;
-    }
-    report.makespan_seconds =
-        std::max(report.makespan_seconds, rec.finish_seconds);
-    if (options_.outcome_observer != nullptr) {
-      options_.outcome_observer(options_.outcome_observer_ctx, rec);
-    }
+  report.records.reserve(records.size());
+  for (ServiceQueryRecord& rec : records) {
+    const ServiceTicket& ticket = pending[rec.ticket];
+    core_.Commit(std::move(rec), ticket, &report);
   }
-
-  report.taxonomy = BuildTaxonomy(report.records);
-  if (cache_ != nullptr) report.cache_stats = cache_->Stats();
-  report.class_feedback = tracker_.Snapshot();
+  core_.Finish(&report);
   return report;
 }
 
 ServiceReport AsyncCompileService::Run(const std::vector<Submission>& arrivals,
                                        bool pace_arrivals) {
-  const double t0 = clock_->NowSeconds();
+  Clock* clock = core_.clock();
+  const double t0 = clock->NowSeconds();
   for (const Submission& s : arrivals) {
     if (pace_arrivals) {
       // Open-loop replay: hold each submission until its trace offset on
       // the service clock. Sleep in short slices so an injected clock
       // that advances coarsely cannot strand the replay.
       for (;;) {
-        const double wait = s.arrival_seconds - (clock_->NowSeconds() - t0);
+        const double wait = s.arrival_seconds - (clock->NowSeconds() - t0);
         if (wait <= 0) break;
         std::this_thread::sleep_for(std::chrono::duration<double>(
             std::min(wait, 0.001)));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/str_util.h"
@@ -27,15 +28,6 @@ double P95Queue(const std::vector<ServiceQueryRecord>& records,
   // Nearest-rank p95: smallest value ≥ 95% of the sample.
   const size_t rank = (q.size() * 95 + 99) / 100;  // ceil(0.95 n)
   return q[rank == 0 ? 0 : rank - 1];
-}
-
-/// Whole patience intervals `entry` waited by dispatch time `now` — the
-/// tier demotion count. Patience <= 0 never demotes.
-int Demotions(const ReadyEntry& entry, double now) {
-  if (entry.patience_seconds <= 0) return 0;
-  const double waited = now - entry.ready_seconds;
-  if (waited < entry.patience_seconds) return 0;
-  return static_cast<int>(waited / entry.patience_seconds);
 }
 
 }  // namespace
@@ -109,7 +101,17 @@ OutcomeTaxonomy BuildTaxonomy(const std::vector<ServiceQueryRecord>& records) {
   return out;
 }
 
-CompileService::CompileService(CompileServiceOptions options)
+ReadyEntry ServiceTicket::Entry(size_t ticket) const {
+  ReadyEntry entry;
+  entry.ticket = ticket;
+  entry.ready_seconds = arrival_seconds;
+  entry.predicted_seconds = admission.predicted_seconds;
+  entry.deadline_seconds = submission.deadline_seconds;
+  entry.patience_seconds = admission.patience_seconds;
+  return entry;
+}
+
+ServiceCore::ServiceCore(CompileServiceOptions options)
     : options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : SystemClock::Get()),
       cache_(options_.enable_cache
@@ -120,70 +122,196 @@ CompileService::CompileService(CompileServiceOptions options)
                  options_.admission, cache_.get(), &tracker_),
       pool_(options_.num_workers, options_.optimizer, options_.counter) {
   if (cache_ != nullptr) {
-    // The ctx points at this service's own options member, so the
-    // threshold stays adjustable per service without any allocation.
+    // The ctx points at this core's own options member, so the threshold
+    // stays adjustable per service without any allocation.
     cache_->SetAdmissionPolicy(
         &ThresholdAdmission, &options_.cache_admission_threshold_seconds);
   }
 }
 
+ServiceTicket ServiceCore::Admit(const Submission& submission) {
+  COTE_CHECK(submission.query != nullptr);
+  ServiceTicket ticket;
+  ticket.submission = submission;
+  ticket.admission =
+      admission_.Admit(*submission.query, submission.query_class);
+  ticket.arrival_seconds = submission.arrival_seconds;
+  return ticket;
+}
+
+int ServiceCore::TierAt(const ReadyEntry& entry, double now) {
+  // Patience <= 0 never demotes.
+  int demotions = 0;
+  const double waited = now - entry.ready_seconds;
+  if (entry.patience_seconds > 0 && waited >= entry.patience_seconds) {
+    demotions = static_cast<int>(waited / entry.patience_seconds);
+  }
+  return std::min(static_cast<int>(ServiceTier::kShed),
+                  entry.tier + demotions);
+}
+
+ServiceQueryRecord ServiceCore::Begin(const ReadyEntry& entry,
+                                      const ServiceTicket& ticket,
+                                      double start_seconds) const {
+  const AdmissionOutcome& adm = ticket.admission;
+  ServiceQueryRecord rec;
+  rec.ticket = entry.ticket;
+  rec.query_class = adm.query_class;
+  rec.arrival_seconds = ticket.arrival_seconds;
+  rec.start_seconds = start_seconds;
+  rec.queue_seconds = start_seconds - ticket.arrival_seconds;
+  rec.deadline_seconds = ticket.submission.deadline_seconds;
+  rec.predicted_seconds = adm.predicted_seconds;
+  rec.estimated = adm.estimated;
+  rec.cache_hit = adm.cache_hit;
+  rec.headroom_multiplier = adm.headroom_multiplier;
+  rec.retries = entry.retries;
+  return rec;
+}
+
+ServiceQueryRecord ServiceCore::Shed(const ReadyEntry& entry,
+                                     const ServiceTicket& ticket, double at,
+                                     bool expired) const {
+  // Never dispatched: no worker, no service time, the ladder's bottom
+  // tier. The two shed shapes are typed by their Status (ClassifyRecord).
+  ServiceQueryRecord rec = Begin(entry, ticket, at);
+  rec.worker = -1;
+  rec.finish_seconds = at;
+  rec.tier = static_cast<int>(ServiceTier::kShed);
+  rec.status =
+      expired ? Status::DeadlineExceeded(StrFormat(
+                    "queue wait %.3fs exhausted patience %.3fs ladder",
+                    at - entry.ready_seconds, entry.patience_seconds))
+              : Status::Unavailable(StrFormat(
+                    "compile queue full (capacity %zu, policy %s)",
+                    options_.queue_capacity,
+                    OverloadPolicyName(options_.overload)));
+  return rec;
+}
+
+ServiceQueryRecord ServiceCore::Dispatch(int worker, const ReadyEntry& entry,
+                                         const ServiceTicket& ticket, int tier,
+                                         double start_seconds) {
+  const AdmissionOutcome& adm = ticket.admission;
+  ServiceQueryRecord rec = Begin(entry, ticket, start_seconds);
+  rec.worker = worker;
+  rec.tier = tier;
+  // The tier transform: full limits, halved limits, or the ungoverned
+  // greedy-only compile.
+  rec.limits = adm.limits;
+  if (tier == static_cast<int>(ServiceTier::kBudgetHalved)) {
+    rec.limits = HalveLimits(rec.limits);
+  } else if (tier == static_cast<int>(ServiceTier::kGreedyOnly)) {
+    rec.limits = ResourceLimits();
+  }
+
+  // The real compile, on this worker's warm session. The observer context
+  // is stack-local, so this attempt's stage events (and any budget trip)
+  // land on this record however the front-end interleaves dispatches.
+  DispatchTrace trace;
+  CompilationSession& session = pool_.session(worker);
+  session.SetStageObserver(&DispatchTraceObserver, &trace);
+  const double wall_before = clock_->NowSeconds();
+  StatusOr<OptimizeResult> result =
+      tier == static_cast<int>(ServiceTier::kGreedyOnly)
+          ? session.OptimizeGreedy(*ticket.submission.query)
+          : session.Optimize(*ticket.submission.query, rec.limits);
+  const double measured_seconds = clock_->NowSeconds() - wall_before;
+  session.SetStageObserver(nullptr, nullptr);
+
+  rec.stage_events = trace.events;
+  rec.budget_tripped = trace.budget_tripped;
+  if (result.ok()) {
+    rec.degraded = result->degraded;
+    rec.tripped_limit = result->tripped_limit;
+    rec.degraded_stage = result->degraded_stage;
+  } else {
+    rec.status = result.status();
+  }
+  rec.service_seconds = options_.time_source == ServiceTimeSource::kClock
+                            ? measured_seconds
+                            : adm.predicted_seconds;
+  rec.finish_seconds = rec.start_seconds + rec.service_seconds;
+  return rec;
+}
+
+bool ServiceCore::Retry(const ServiceQueryRecord& rec, const ReadyEntry& entry,
+                        double now, ReadyEntry* again) const {
+  // Bounded retry-with-degradation: a transient failure with budget left
+  // re-enqueues one tier down (capacity-blind — the ticket paid admission
+  // once).
+  if (rec.status.ok() || !IsTransientFailure(rec.status.code()) ||
+      entry.retries >= options_.max_retries) {
+    return false;
+  }
+  *again = entry;
+  again->ready_seconds = now;
+  again->tier =
+      std::min(static_cast<int>(ServiceTier::kGreedyOnly), rec.tier + 1);
+  again->retries = entry.retries + 1;
+  return true;
+}
+
+void ServiceCore::Commit(ServiceQueryRecord rec, const ServiceTicket& ticket,
+                         ServiceReport* report) {
+  // Close the two feedback loops, for compiled final attempts only: a shed
+  // never ran (its non-OK Status skips the cache, its unlimited limits the
+  // tracker), and a retried attempt never reaches here. Cache: store what
+  // this statement actually cost, gated (inside the cache) on what
+  // admission predicted it would cost. Tracker: an armed compile that
+  // tripped its *applied* budget is evidence the estimator runs low for
+  // this class — a greedy-tier run applied no budget, so it is silent.
+  const AdmissionOutcome& adm = ticket.admission;
+  if (cache_ != nullptr && !adm.cache_hit && rec.status.ok()) {
+    rec.cache_inserted = cache_->Insert(*ticket.submission.query,
+                                        rec.service_seconds,
+                                        adm.predicted_seconds);
+  }
+  if (!rec.limits.Unlimited()) {
+    tracker_.Record(adm.query_class,
+                    IsBudgetTrip(rec.degraded, rec.status, rec.budget_tripped));
+  }
+
+  // Every path that finishes a ticket — served, failed, or shed — funnels
+  // through here, so "exactly one bucket per ticket" holds by
+  // construction.
+  rec.outcome = ClassifyRecord(rec);
+  if (rec.estimated) ++report->estimates;
+  if (rec.cache_hit) ++report->cache_hits;
+  if (rec.cache_inserted) ++report->cache_insertions;
+  if (rec.degraded) ++report->degraded;
+  if (!rec.status.ok()) ++report->failed;
+  if (rec.deadline_seconds > 0 && rec.finish_seconds > rec.deadline_seconds) {
+    ++report->deadline_misses;
+  }
+  report->makespan_seconds =
+      std::max(report->makespan_seconds, rec.finish_seconds);
+  report->records.push_back(std::move(rec));
+  if (options_.outcome_observer != nullptr) {
+    options_.outcome_observer(options_.outcome_observer_ctx,
+                              report->records.back());
+  }
+}
+
+void ServiceCore::Finish(ServiceReport* report) const {
+  report->taxonomy = BuildTaxonomy(report->records);
+  if (cache_ != nullptr) report->cache_stats = cache_->Stats();
+  report->class_feedback = tracker_.Snapshot();
+}
+
+CompileService::CompileService(CompileServiceOptions options)
+    : core_(std::move(options)) {}
+
 ServiceReport CompileService::Run(const std::vector<Submission>& arrivals) {
+  const CompileServiceOptions& options = core_.options();
   ServiceReport report;
   const size_t n = arrivals.size();
   report.records.reserve(n);
-  std::vector<double> worker_free(static_cast<size_t>(pool_.num_workers()), 0);
-  std::vector<AdmissionOutcome> admitted(n);
-  std::vector<int> retry_count(n, 0);
-  ReadyQueue queue(options_.policy, options_.queue_capacity,
-                   options_.overload);
+  std::vector<double> worker_free(static_cast<size_t>(pool().num_workers()),
+                                  0);
+  std::vector<ServiceTicket> tickets(n);
+  ReadyQueue queue(options.policy, options.queue_capacity, options.overload);
   size_t next = 0;  // first not-yet-admitted arrival
-
-  // Commits one terminal record: classify, count, notify. Every path that
-  // finishes a ticket — served, failed, or shed — funnels through here,
-  // so "exactly one bucket per ticket" holds by construction.
-  auto commit = [&](ServiceQueryRecord& rec) {
-    rec.outcome = ClassifyRecord(rec);
-    if (rec.estimated) ++report.estimates;
-    if (rec.cache_hit) ++report.cache_hits;
-    if (rec.cache_inserted) ++report.cache_insertions;
-    if (rec.degraded) ++report.degraded;
-    if (!rec.status.ok()) ++report.failed;
-    if (rec.deadline_seconds > 0 &&
-        rec.finish_seconds > rec.deadline_seconds) {
-      ++report.deadline_misses;
-    }
-    report.makespan_seconds =
-        std::max(report.makespan_seconds, rec.finish_seconds);
-    report.records.push_back(rec);
-    if (options_.outcome_observer != nullptr) {
-      options_.outcome_observer(options_.outcome_observer_ctx,
-                                report.records.back());
-    }
-  };
-
-  // A shed record: never dispatched (worker -1, bottom tier, no service
-  // time); `at` is the trace instant the shed decision was taken.
-  auto make_shed = [&](const ReadyEntry& entry, double at, Status status) {
-    const Submission& s = arrivals[entry.ticket];
-    const AdmissionOutcome& adm = admitted[entry.ticket];
-    ServiceQueryRecord rec;
-    rec.ticket = entry.ticket;
-    rec.worker = -1;
-    rec.query_class = adm.query_class;
-    rec.arrival_seconds = s.arrival_seconds;
-    rec.start_seconds = at;
-    rec.finish_seconds = at;
-    rec.queue_seconds = at - s.arrival_seconds;
-    rec.deadline_seconds = s.deadline_seconds;
-    rec.predicted_seconds = adm.predicted_seconds;
-    rec.estimated = adm.estimated;
-    rec.cache_hit = adm.cache_hit;
-    rec.headroom_multiplier = adm.headroom_multiplier;
-    rec.status = std::move(status);
-    rec.tier = static_cast<int>(ServiceTier::kShed);
-    rec.retries = entry.retries;
-    commit(rec);
-  };
 
   // Admits every arrival at or before trace time `t` — admission runs at
   // arrival on the front end, so by the time a server picks, everything
@@ -195,28 +323,20 @@ ServiceReport CompileService::Run(const std::vector<Submission>& arrivals) {
   // — and Offer says who, if anyone, was refused.
   auto admit_up_to = [&](double t) {
     while (next < n && arrivals[next].arrival_seconds <= t) {
-      if (options_.overload == OverloadPolicy::kBlock && queue.Full()) break;
+      if (options.overload == OverloadPolicy::kBlock && queue.Full()) break;
       const Submission& s = arrivals[next];
-      COTE_CHECK(s.query != nullptr);
       COTE_CHECK(next == 0 ||
                  s.arrival_seconds >= arrivals[next - 1].arrival_seconds);
-      admitted[next] = admission_.Admit(*s.query, s.query_class);
-      ReadyEntry entry;
-      entry.ticket = next;
-      entry.ready_seconds = s.arrival_seconds;
-      entry.predicted_seconds = admitted[next].predicted_seconds;
-      entry.deadline_seconds = s.deadline_seconds;
-      entry.patience_seconds = admitted[next].patience_seconds;
+      tickets[next] = core_.Admit(s);
+      const OfferOutcome offer = queue.Offer(tickets[next].Entry(next));
       ++next;
-      const OfferOutcome offer = queue.Offer(entry);
       if (offer.shed_incoming || offer.shed_existing) {
         // The shed instant is the incoming arrival's own timestamp: that
         // is when the queue was observed full.
-        make_shed(offer.shed, s.arrival_seconds,
-                  Status::Unavailable(StrFormat(
-                      "compile queue full (capacity %zu, policy %s)",
-                      queue.capacity(),
-                      OverloadPolicyName(options_.overload))));
+        const ServiceTicket& shed = tickets[offer.shed.ticket];
+        core_.Commit(core_.Shed(offer.shed, shed, s.arrival_seconds,
+                                /*expired=*/false),
+                     shed, &report);
       }
     }
   };
@@ -234,226 +354,34 @@ ServiceReport CompileService::Run(const std::vector<Submission>& arrivals) {
     admit_up_to(t);
     if (queue.empty()) continue;
 
-    ReadyEntry entry = queue.PopNext();
-    // Queue-wait expiry: each whole patience interval waited demotes one
-    // tier; past the ladder's bottom the entry is shed, the worker stays
-    // free at t, and the loop immediately picks again.
-    const int tier = std::min(
-        static_cast<int>(ServiceTier::kShed),
-        entry.tier + Demotions(entry, t));
+    const ReadyEntry entry = queue.PopNext();
+    const ServiceTicket& ticket = tickets[entry.ticket];
+    // Past the ladder's bottom the entry is shed, the worker stays free at
+    // t, and the loop immediately picks again.
+    const int tier = ServiceCore::TierAt(entry, t);
     if (tier >= static_cast<int>(ServiceTier::kShed)) {
-      make_shed(entry, t,
-                Status::DeadlineExceeded(StrFormat(
-                    "queue wait %.3fs exhausted patience %.3fs ladder",
-                    t - entry.ready_seconds, entry.patience_seconds)));
+      core_.Commit(core_.Shed(entry, ticket, t, /*expired=*/true), ticket,
+                   &report);
       admit_up_to(t);  // the shed freed a slot — reopen the door
       continue;
     }
 
-    const Submission& sub = arrivals[entry.ticket];
-    const AdmissionOutcome& adm = admitted[entry.ticket];
-    // The tier transform: full limits, halved limits, or the ungoverned
-    // greedy-only compile.
-    ResourceLimits limits = adm.limits;
-    if (tier == static_cast<int>(ServiceTier::kBudgetHalved)) {
-      limits = HalveLimits(limits);
-    } else if (tier == static_cast<int>(ServiceTier::kGreedyOnly)) {
-      limits = ResourceLimits();
-    }
-
-    ServiceQueryRecord rec;
-    rec.ticket = entry.ticket;
-    rec.worker = static_cast<int>(w);
-    rec.query_class = adm.query_class;
-    rec.arrival_seconds = sub.arrival_seconds;
-    rec.start_seconds = t;
-    rec.queue_seconds = t - sub.arrival_seconds;
-    rec.deadline_seconds = sub.deadline_seconds;
-    rec.predicted_seconds = adm.predicted_seconds;
-    rec.estimated = adm.estimated;
-    rec.cache_hit = adm.cache_hit;
-    rec.headroom_multiplier = adm.headroom_multiplier;
-    rec.limits = limits;
-    rec.tier = tier;
-    rec.retries = entry.retries;
-
-    // The real compile, on this simulated server's warm session. The
-    // observer context attributes this run's stage events (and any budget
-    // trip) to this queue entry — the fn + ctx observer shape exists for
-    // exactly this.
-    DispatchTrace trace;
-    CompilationSession& session = pool_.session(static_cast<int>(w));
-    session.SetStageObserver(&DispatchTraceObserver, &trace);
-    const double wall_before = clock_->NowSeconds();
-    StatusOr<OptimizeResult> result =
-        tier == static_cast<int>(ServiceTier::kGreedyOnly)
-            ? session.OptimizeGreedy(*sub.query)
-            : (limits.Unlimited() ? session.Optimize(*sub.query)
-                                  : session.Optimize(*sub.query, limits));
-    const double measured_seconds = clock_->NowSeconds() - wall_before;
-    session.SetStageObserver(nullptr, nullptr);
-
-    rec.stage_events = trace.events;
-    rec.budget_tripped = trace.budget_tripped;
-    if (result.ok()) {
-      rec.degraded = result->degraded;
-      rec.tripped_limit = result->tripped_limit;
-      rec.degraded_stage = result->degraded_stage;
-    } else {
-      rec.status = result.status();
-    }
-
-    rec.service_seconds = options_.time_source == ServiceTimeSource::kClock
-                              ? measured_seconds
-                              : adm.predicted_seconds;
-    rec.finish_seconds = rec.start_seconds + rec.service_seconds;
+    ServiceQueryRecord rec =
+        core_.Dispatch(static_cast<int>(w), entry, ticket, tier, t);
     worker_free[w] = rec.finish_seconds;
-    if (options_.drive_clock != nullptr) {
-      options_.drive_clock->SetAtLeast(rec.finish_seconds);
+    if (options.drive_clock != nullptr) {
+      options.drive_clock->SetAtLeast(rec.finish_seconds);
     }
-
-    // Bounded retry-with-degradation: a transient failure with budget
-    // left re-enqueues one tier down (capacity-blind — the ticket paid
-    // admission once) and commits no record; only the final attempt does.
-    if (!result.ok() && IsTransientFailure(result.status().code()) &&
-        retry_count[entry.ticket] < options_.max_retries) {
-      ++retry_count[entry.ticket];
-      ReadyEntry again = entry;
-      again.ready_seconds = rec.finish_seconds;
-      again.tier = std::min(static_cast<int>(ServiceTier::kGreedyOnly),
-                            tier + 1);
-      again.retries = retry_count[entry.ticket];
+    ReadyEntry again;
+    if (core_.Retry(rec, entry, rec.finish_seconds, &again)) {
       queue.Push(again);
       continue;
     }
-
-    // Close the two feedback loops — terminal compiled attempts only
-    // (sheds never ran, retried attempts aren't final). Cache: store what
-    // this statement actually cost, gated (inside the cache) on what
-    // admission predicted it would cost. Tracker: an armed compile that
-    // tripped its *applied* budget is evidence the estimator runs low for
-    // this class — a greedy-tier run applied no budget, so it is silent.
-    if (cache_ != nullptr && !adm.cache_hit && result.ok()) {
-      rec.cache_inserted =
-          cache_->Insert(*sub.query, rec.service_seconds,
-                         adm.predicted_seconds);
-    }
-    if (!limits.Unlimited()) {
-      tracker_.Record(
-          adm.query_class,
-          IsBudgetTrip(rec.degraded, rec.status, rec.budget_tripped));
-    }
-
-    commit(rec);
+    core_.Commit(std::move(rec), ticket, &report);
   }
 
-  report.taxonomy = BuildTaxonomy(report.records);
-  if (cache_ != nullptr) report.cache_stats = cache_->Stats();
-  report.class_feedback = tracker_.Snapshot();
+  core_.Finish(&report);
   return report;
-}
-
-ServiceBatchResult CompileService::CompileBatch(
-    const std::vector<const QueryGraph*>& queries) {
-  ServiceBatchResult out;
-  const size_t n = queries.size();
-  out.admissions.resize(n);
-  out.results.assign(n, StatusOr<OptimizeResult>(
-                            Status::Internal("query was not compiled")));
-  out.traces.resize(n);
-  out.schedule.reserve(n);
-  ReadyQueue queue(options_.policy, options_.queue_capacity,
-                   options_.overload);
-
-  // Closed-loop admission under a bounded queue. kBlock drains the queue
-  // in capacity-sized windows (backpressure: the batch waits at the door,
-  // nothing is lost); the shedding policies admit the whole batch through
-  // Offer and the refused indices land as typed kUnavailable results —
-  // under kShedLowestValue that keeps the best `capacity` submissions by
-  // estimate-derived value.
-  std::vector<const QueryGraph*> ordered;
-  std::vector<ResourceLimits> per_query;
-  ordered.reserve(n);
-  per_query.reserve(n);
-  auto drain = [&] {
-    while (!queue.empty()) {
-      const ReadyEntry entry = queue.PopNext();
-      out.schedule.push_back(entry.ticket);
-      ordered.push_back(queries[entry.ticket]);
-      per_query.push_back(out.admissions[entry.ticket].limits);
-    }
-  };
-  for (size_t i = 0; i < n; ++i) {
-    COTE_CHECK(queries[i] != nullptr);
-    out.admissions[i] = admission_.Admit(*queries[i], -1);
-    if (out.admissions[i].estimated) ++out.estimates;
-    if (out.admissions[i].cache_hit) ++out.cache_hits;
-    ReadyEntry entry;
-    entry.ticket = i;
-    entry.predicted_seconds = out.admissions[i].predicted_seconds;
-    if (options_.overload == OverloadPolicy::kBlock) {
-      if (queue.Full()) drain();  // window boundary: free the whole queue
-      queue.Push(entry);
-      continue;
-    }
-    const OfferOutcome offer = queue.Offer(entry);
-    if (offer.shed_incoming || offer.shed_existing) {
-      out.results[offer.shed.ticket] = StatusOr<OptimizeResult>(
-          Status::Unavailable(StrFormat(
-              "compile queue full (capacity %zu, policy %s)",
-              queue.capacity(), OverloadPolicyName(options_.overload))));
-      ++out.taxonomy.shed_queue_full;
-    }
-  }
-  drain();
-
-  // The policy-fixed dispatch order goes to the pool's real worker
-  // threads with each query's own derived limits (the per-query-limits
-  // scheduler hook). Each query also gets its own DispatchTrace wired
-  // through the pool's observer hook, so the batch path sees the same
-  // observer-side trip evidence the open-loop Run sees per dispatch.
-  const size_t m = ordered.size();
-  std::vector<DispatchTrace> ordered_traces(m);
-  std::vector<void*> trace_ctx(m);
-  for (size_t k = 0; k < m; ++k) trace_ctx[k] = &ordered_traces[k];
-  BatchOptimizeResult batch = pool_.CompileBatch(
-      ordered, per_query, &DispatchTraceObserver, trace_ctx.data());
-  out.stats = std::move(batch.stats);
-
-  for (size_t k = 0; k < m; ++k) {
-    out.results[out.schedule[k]] = std::move(batch.results[k]);
-    out.traces[out.schedule[k]] = ordered_traces[k];
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    const AdmissionOutcome& adm = out.admissions[i];
-    const bool shed =
-        out.results[i].status().code() == StatusCode::kUnavailable;
-    if (shed) continue;  // never compiled: no feedback, already counted
-    if (cache_ != nullptr && !adm.cache_hit && out.results[i].ok()) {
-      cache_->Insert(*queries[i], out.results[i]->stats.total_seconds,
-                     adm.predicted_seconds);
-    }
-    if (!adm.limits.Unlimited()) {
-      // The same trip predicate Run feeds the tracker with — degraded
-      // flag, budget-trip Status, or observer evidence — so per-class
-      // headroom feedback cannot diverge between execution paths.
-      const bool degraded = out.results[i].ok() && out.results[i]->degraded;
-      const Status status =
-          out.results[i].ok() ? Status() : out.results[i].status();
-      tracker_.Record(adm.query_class,
-                      IsBudgetTrip(degraded, status,
-                                   out.traces[i].budget_tripped));
-    }
-    if (!out.results[i].ok()) {
-      ++out.taxonomy.failed_permanent;
-    } else if (out.results[i]->degraded) {
-      ++out.taxonomy.served_degraded;
-    } else {
-      ++out.taxonomy.served_full;
-    }
-  }
-  return out;
 }
 
 }  // namespace cote

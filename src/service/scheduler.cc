@@ -34,8 +34,8 @@ inline bool EarlierDeadlineFirst(const ReadyEntry& a, const ReadyEntry& b) {
 /// be the next dispatch. Inverting SchedulesBefore does exactly that.
 struct DispatchesLater {
   SchedulingPolicy policy;
-  bool operator()(const ReadyQueue::Item& a, const ReadyQueue::Item& b) const {
-    return SchedulesBefore(policy, b.entry, a.entry);
+  bool operator()(const ReadyEntry& a, const ReadyEntry& b) const {
+    return SchedulesBefore(policy, b, a);
   }
 };
 
@@ -96,47 +96,17 @@ bool ShedsFirst(const ReadyEntry& a, const ReadyEntry& b) {
   return a.ticket > b.ticket;
 }
 
-void ReadyQueue::Enqueue(const ReadyEntry& entry) {
-  // Amortized slot-ring compaction: once the dead prefix dominates, slide
-  // the live span to the front and rebase the heap's slot indices. Cost
-  // O(live + heap), paid at most once per O(reclaimed) enqueues.
-  if (slots_head_ > 64 && slots_head_ * 2 > slots_.size()) {
-    slots_.erase(slots_.begin(),
-                 slots_.begin() + static_cast<ptrdiff_t>(slots_head_));
-    for (Item& item : heap_) item.slot -= slots_head_;
-    slots_head_ = 0;
-  }
-  if (entry.ready_seconds > last_enqueue_seconds_) {
-    last_enqueue_seconds_ = entry.ready_seconds;
-  }
-  Item item;
-  item.entry = entry;
-  item.slot = slots_.size();
-  AgeSlot slot;
-  slot.enqueue_seconds = last_enqueue_seconds_;
-  slot.alive = true;
-  slots_.push_back(slot);
-  heap_.push_back(item);
+void ReadyQueue::Push(const ReadyEntry& entry) {
+  heap_.push_back(entry);
   std::push_heap(heap_.begin(), heap_.end(), DispatchesLater{policy_});
 }
-
-void ReadyQueue::MarkDead(size_t slot) {
-  slots_[slot].alive = false;
-  // Lazy dead-prefix reclamation: each slot is skipped at most once, so
-  // the loop is amortized O(1) across queue operations.
-  while (slots_head_ < slots_.size() && !slots_[slots_head_].alive) {
-    ++slots_head_;
-  }
-}
-
-void ReadyQueue::Push(const ReadyEntry& entry) { Enqueue(entry); }
 
 OfferOutcome ReadyQueue::Offer(const ReadyEntry& entry) {
   OfferOutcome out;
   if (!Full() || overload_ == OverloadPolicy::kBlock) {
     // kBlock admits past capacity by design: the bound is enforced by the
     // caller's blocking protocol, not by shedding (see OverloadPolicy).
-    Enqueue(entry);
+    Push(entry);
     out.admitted = true;
     return out;
   }
@@ -150,22 +120,21 @@ OfferOutcome ReadyQueue::Offer(const ReadyEntry& entry) {
   // capacity, so this is O(capacity), never O(backlog).
   size_t worst = 0;
   for (size_t i = 1; i < heap_.size(); ++i) {
-    if (ShedsFirst(heap_[i].entry, heap_[worst].entry)) worst = i;
+    if (ShedsFirst(heap_[i], heap_[worst])) worst = i;
   }
-  if (ShedsFirst(entry, heap_[worst].entry)) {
+  if (ShedsFirst(entry, heap_[worst])) {
     out.shed_incoming = true;
     out.shed = entry;
     return out;
   }
   out.shed_existing = true;
-  out.shed = heap_[worst].entry;
-  MarkDead(heap_[worst].slot);
+  out.shed = heap_[worst];
   heap_[worst] = heap_.back();
   heap_.pop_back();
   // Swap-with-back can break the heap property anywhere; rebuild. O(n) on
   // the overload path only.
   std::make_heap(heap_.begin(), heap_.end(), DispatchesLater{policy_});
-  Enqueue(entry);
+  Push(entry);
   out.admitted = true;
   return out;
 }
@@ -176,10 +145,9 @@ ReadyEntry ReadyQueue::PopNext() {
   // back and re-heaps in O(log n); pop_back keeps capacity, so a steady
   // push/pop regime allocates nothing.
   std::pop_heap(heap_.begin(), heap_.end(), DispatchesLater{policy_});
-  Item out = heap_.back();
+  ReadyEntry out = heap_.back();
   heap_.pop_back();
-  MarkDead(out.slot);
-  return out.entry;
+  return out;
 }
 
 }  // namespace cote

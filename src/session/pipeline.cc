@@ -130,16 +130,6 @@ class ShardedPlanCounting : public ShardedVisitor {
 }  // namespace
 
 StatusOr<OptimizeResult> CompilationPipeline::CompilePlan(
-    const QueryGraph& graph) {
-  if (graph.num_tables() == 0) {
-    return Status::InvalidArgument("query has no tables");
-  }
-  return ctx_->options().level == OptimizationLevel::kLow
-             ? PlanLow(graph)
-             : PlanHigh(graph, nullptr);
-}
-
-StatusOr<OptimizeResult> CompilationPipeline::CompilePlan(
     const QueryGraph& graph, const ResourceLimits& limits) {
   if (graph.num_tables() == 0) {
     return Status::InvalidArgument("query has no tables");
@@ -148,7 +138,7 @@ StatusOr<OptimizeResult> CompilationPipeline::CompilePlan(
   // itself the degraded mode and runs in polynomial time.
   return ctx_->options().level == OptimizationLevel::kLow
              ? PlanLow(graph)
-             : PlanHigh(graph, &limits);
+             : PlanHigh(graph, limits);
 }
 
 StatusOr<OptimizeResult> CompilationPipeline::CompilePlanGreedy(
@@ -222,7 +212,7 @@ StatusOr<OptimizeResult> CompilationPipeline::PlanLow(
 }
 
 StatusOr<OptimizeResult> CompilationPipeline::PlanHigh(
-    const QueryGraph& graph, const ResourceLimits* limits) {
+    const QueryGraph& graph, const ResourceLimits& limits) {
   StopWatch watch;
   StageSeconds stages;
   StopWatch stage;
@@ -230,8 +220,7 @@ StatusOr<OptimizeResult> CompilationPipeline::PlanHigh(
   // A fresh budget per compile; fully unlimited limits arm nothing, so
   // `armed` stays null and every downstream path is the ungoverned one.
   ResourceBudget& budget = ctx_->budget();
-  budget.Disarm();
-  if (limits != nullptr) budget.Arm(*limits);
+  budget.Arm(limits);
   ResourceBudget* armed = budget.armed() ? &budget : nullptr;
 
   // ---- Bind.
@@ -284,7 +273,7 @@ StatusOr<OptimizeResult> CompilationPipeline::PlanHigh(
   }
 
   if (armed != nullptr && armed->tripped()) {
-    if (limits->on_trip == BudgetAction::kFail) {
+    if (limits.on_trip == BudgetAction::kFail) {
       Status trip = armed->TripStatus();
       ctx_->AbandonBinding();
       return trip;
@@ -408,27 +397,15 @@ StatusOr<OptimizeResult> CompilationPipeline::DegradeToGreedy(
 }
 
 CompileTimeEstimate CompilationPipeline::CompileEstimate(
-    const QueryGraph& graph, const TimeModel& time_model) {
-  return EstimateImpl(graph, time_model, nullptr);
-}
-
-CompileTimeEstimate CompilationPipeline::CompileEstimate(
     const QueryGraph& graph, const TimeModel& time_model,
     const ResourceLimits& limits) {
-  return EstimateImpl(graph, time_model, &limits);
-}
-
-CompileTimeEstimate CompilationPipeline::EstimateImpl(
-    const QueryGraph& graph, const TimeModel& time_model,
-    const ResourceLimits* limits) {
   StopWatch watch;
   StageSeconds stages;
   StopWatch stage;
   CompileTimeEstimate out;
 
   ResourceBudget& budget = ctx_->budget();
-  budget.Disarm();
-  if (limits != nullptr) budget.Arm(*limits);
+  budget.Arm(limits);
   ResourceBudget* armed = budget.armed() ? &budget : nullptr;
 
   // ---- Bind: warm when the same query was just estimated (no heap

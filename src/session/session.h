@@ -1,8 +1,6 @@
 #ifndef COTE_SESSION_SESSION_H_
 #define COTE_SESSION_SESSION_H_
 
-#include <vector>
-
 #include "common/status.h"
 #include "core/time_model.h"
 #include "optimizer/optimizer.h"
@@ -39,18 +37,13 @@ class CompilationSession {
   CompilationSession(const CompilationSession&) = delete;
   CompilationSession& operator=(const CompilationSession&) = delete;
 
-  /// Plan mode: full compilation to an executable plan.
-  StatusOr<OptimizeResult> Optimize(const QueryGraph& graph) {
-    return pipeline_.CompilePlan(graph);
-  }
-
-  /// Plan mode under resource governance: the compile is cancelled
-  /// cooperatively once `limits` trips, then either degrades to the
-  /// greedy plan (BudgetAction::kGreedyFallback, the default — ok() with
-  /// OptimizeResult::degraded set) or fails with the budget's Status.
-  /// Unlimited limits behave exactly like the ungoverned overload.
+  /// Plan mode: full compilation to an executable plan. Under finite
+  /// `limits` the compile is cancelled cooperatively once a limit trips,
+  /// then either degrades to the greedy plan (BudgetAction::kGreedyFallback,
+  /// the default — ok() with OptimizeResult::degraded set) or fails with
+  /// the budget's Status. The default, unlimited limits arm nothing.
   StatusOr<OptimizeResult> Optimize(const QueryGraph& graph,
-                                    const ResourceLimits& limits) {
+                                    const ResourceLimits& limits = {}) {
     return pipeline_.CompilePlan(graph, limits);
   }
 
@@ -63,17 +56,12 @@ class CompilationSession {
   }
 
   /// Estimate mode: the paper's plan-counting pass; `time_model` converts
-  /// join-plan counts to seconds (§3.5).
-  CompileTimeEstimate Estimate(const QueryGraph& graph,
-                               const TimeModel& time_model) {
-    return pipeline_.CompileEstimate(graph, time_model);
-  }
-
-  /// Governed estimate: a tripped limit ends the counting run early and
-  /// returns the partial counts flagged CompileTimeEstimate::degraded.
+  /// join-plan counts to seconds (§3.5). A tripped limit ends the counting
+  /// run early and returns the partial counts flagged
+  /// CompileTimeEstimate::degraded.
   CompileTimeEstimate Estimate(const QueryGraph& graph,
                                const TimeModel& time_model,
-                               const ResourceLimits& limits) {
+                               const ResourceLimits& limits = {}) {
     return pipeline_.CompileEstimate(graph, time_model, limits);
   }
 
@@ -81,38 +69,6 @@ class CompilationSession {
   /// MEMO, so the estimates (plans, time, memory) sum over the blocks.
   CompileTimeEstimate Estimate(const MultiBlockQuery& query,
                                const TimeModel& time_model);
-
-  /// Governed multi-block estimate: `limits` applies per block (each block
-  /// re-arms the budget); `degraded` is set if any block tripped, carrying
-  /// the first tripped block's limit and stage.
-  CompileTimeEstimate Estimate(const MultiBlockQuery& query,
-                               const TimeModel& time_model,
-                               const ResourceLimits& limits);
-
-  /// Serial batch: compiles each query in input order through this one
-  /// session (null pointers yield a Status at their index). This is the
-  /// single-threaded reference a SessionPool batch must be bit-identical
-  /// to.
-  std::vector<StatusOr<OptimizeResult>> CompileBatch(
-      const std::vector<const QueryGraph*>& queries);
-
-  /// Governed serial batch: `limits` applies per query, so one runaway
-  /// query degrades (or fails) alone while the rest of the batch compiles
-  /// normally — per-index isolation, pinned by the governance tests.
-  std::vector<StatusOr<OptimizeResult>> CompileBatch(
-      const std::vector<const QueryGraph*>& queries,
-      const ResourceLimits& limits);
-
-  /// Serial estimate batch, input order; null pointers yield the all-zero
-  /// estimate.
-  std::vector<CompileTimeEstimate> EstimateBatch(
-      const std::vector<const QueryGraph*>& queries,
-      const TimeModel& time_model);
-
-  /// Governed serial estimate batch (per-query limits, as above).
-  std::vector<CompileTimeEstimate> EstimateBatch(
-      const std::vector<const QueryGraph*>& queries,
-      const TimeModel& time_model, const ResourceLimits& limits);
 
   /// Installs (or removes, with fn = nullptr) a per-stage observer on the
   /// underlying pipeline; see CompilationPipeline::SetStageObserver.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <thread>
 
-#include "common/check.h"
 #include "common/timer.h"
 
 namespace cote {
@@ -13,29 +12,27 @@ namespace {
 
 /// Runs once per claimed plan-mode query: the pool's per-item hot path.
 /// Everything it touches is worker-private (the session) or this item's
-/// own output slot, so workers never share mutable state. `limits` null
-/// means ungoverned; non-null arms the worker session's budget per query.
+/// own output slot, so workers never share mutable state. `limits` arms
+/// the worker session's budget per query.
 void CompileOne(CompilationSession* session, const QueryGraph* query,
-                const ResourceLimits* limits, StatusOr<OptimizeResult>* out) {
+                const ResourceLimits& limits, StatusOr<OptimizeResult>* out) {
   if (query == nullptr) {
     *out = Status::InvalidArgument("null query in batch");
     return;
   }
-  *out = limits == nullptr ? session->Optimize(*query)
-                           : session->Optimize(*query, *limits);
+  *out = session->Optimize(*query, limits);
 }
 
 /// Estimate-mode twin of CompileOne; a null query yields the all-zero
 /// estimate (estimates have no Status channel, matching the serial API).
 void EstimateOne(CompilationSession* session, const QueryGraph* query,
-                 const TimeModel& time_model, const ResourceLimits* limits,
+                 const TimeModel& time_model, const ResourceLimits& limits,
                  CompileTimeEstimate* out) {
   if (query == nullptr) {
     *out = CompileTimeEstimate{};
     return;
   }
-  *out = limits == nullptr ? session->Estimate(*query, time_model)
-                           : session->Estimate(*query, time_model, *limits);
+  *out = session->Estimate(*query, time_model, limits);
 }
 
 /// Folds worker w's CompilationStats delta for this batch (after - before)
@@ -147,21 +144,6 @@ BatchStats SessionPool::RunBatch(size_t n, const PerItem& per_item) {
 }
 
 BatchOptimizeResult SessionPool::CompileBatch(
-    const std::vector<const QueryGraph*>& queries) {
-  BatchOptimizeResult out{
-      std::vector<StatusOr<OptimizeResult>>(
-          queries.size(), Status::Internal("query was not compiled")),
-      BatchStats{}};
-  StatusOr<OptimizeResult>* results = out.results.data();
-  const QueryGraph* const* qs = queries.data();
-  out.stats = RunBatch(queries.size(),
-                       [results, qs](CompilationSession* session, size_t i) {
-                         CompileOne(session, qs[i], nullptr, &results[i]);
-                       });
-  return out;
-}
-
-BatchOptimizeResult SessionPool::CompileBatch(
     const std::vector<const QueryGraph*>& queries,
     const ResourceLimits& limits) {
   BatchOptimizeResult out{
@@ -170,73 +152,11 @@ BatchOptimizeResult SessionPool::CompileBatch(
       BatchStats{}};
   StatusOr<OptimizeResult>* results = out.results.data();
   const QueryGraph* const* qs = queries.data();
-  const ResourceLimits* lim = &limits;
   out.stats =
       RunBatch(queries.size(),
-               [results, qs, lim](CompilationSession* session, size_t i) {
-                 CompileOne(session, qs[i], lim, &results[i]);
+               [results, qs, &limits](CompilationSession* session, size_t i) {
+                 CompileOne(session, qs[i], limits, &results[i]);
                });
-  return out;
-}
-
-BatchOptimizeResult SessionPool::CompileBatch(
-    const std::vector<const QueryGraph*>& queries,
-    const std::vector<ResourceLimits>& per_query) {
-  COTE_CHECK_EQ(queries.size(), per_query.size());
-  BatchOptimizeResult out{
-      std::vector<StatusOr<OptimizeResult>>(
-          queries.size(), Status::Internal("query was not compiled")),
-      BatchStats{}};
-  StatusOr<OptimizeResult>* results = out.results.data();
-  const QueryGraph* const* qs = queries.data();
-  const ResourceLimits* lims = per_query.data();
-  out.stats =
-      RunBatch(queries.size(),
-               [results, qs, lims](CompilationSession* session, size_t i) {
-                 CompileOne(session, qs[i], &lims[i], &results[i]);
-               });
-  return out;
-}
-
-BatchOptimizeResult SessionPool::CompileBatch(
-    const std::vector<const QueryGraph*>& queries,
-    const std::vector<ResourceLimits>& per_query, StageObserverFn observer,
-    void* const* per_query_observer_ctx) {
-  if (observer == nullptr) return CompileBatch(queries, per_query);
-  COTE_CHECK_EQ(queries.size(), per_query.size());
-  COTE_CHECK(per_query_observer_ctx != nullptr);
-  BatchOptimizeResult out{
-      std::vector<StatusOr<OptimizeResult>>(
-          queries.size(), Status::Internal("query was not compiled")),
-      BatchStats{}};
-  StatusOr<OptimizeResult>* results = out.results.data();
-  const QueryGraph* const* qs = queries.data();
-  const ResourceLimits* lims = per_query.data();
-  out.stats = RunBatch(
-      queries.size(), [results, qs, lims, observer, per_query_observer_ctx](
-                          CompilationSession* session, size_t i) {
-        // Observer scope = exactly this query's compile on this worker's
-        // own session; the ctx slot is query-private, so no two workers
-        // ever write one concurrently.
-        session->SetStageObserver(observer, per_query_observer_ctx[i]);
-        CompileOne(session, qs[i], &lims[i], &results[i]);
-        session->SetStageObserver(nullptr, nullptr);
-      });
-  return out;
-}
-
-BatchEstimateResult SessionPool::EstimateBatch(
-    const std::vector<const QueryGraph*>& queries,
-    const TimeModel& time_model) {
-  BatchEstimateResult out;
-  out.results.resize(queries.size());
-  CompileTimeEstimate* results = out.results.data();
-  const QueryGraph* const* qs = queries.data();
-  out.stats = RunBatch(
-      queries.size(),
-      [results, qs, &time_model](CompilationSession* session, size_t i) {
-        EstimateOne(session, qs[i], time_model, nullptr, &results[i]);
-      });
   return out;
 }
 
@@ -247,12 +167,12 @@ BatchEstimateResult SessionPool::EstimateBatch(
   out.results.resize(queries.size());
   CompileTimeEstimate* results = out.results.data();
   const QueryGraph* const* qs = queries.data();
-  const ResourceLimits* lim = &limits;
-  out.stats = RunBatch(
-      queries.size(),
-      [results, qs, &time_model, lim](CompilationSession* session, size_t i) {
-        EstimateOne(session, qs[i], time_model, lim, &results[i]);
-      });
+  out.stats = RunBatch(queries.size(),
+                       [results, qs, &time_model, &limits](
+                           CompilationSession* session, size_t i) {
+                         EstimateOne(session, qs[i], time_model, limits,
+                                     &results[i]);
+                       });
   return out;
 }
 

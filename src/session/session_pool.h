@@ -83,8 +83,9 @@ struct BatchEstimateResult {
 /// itself — per-session arenas mean zero shared mutable state — so which
 /// worker claims which query cannot change any result. A pool batch is
 /// bit-identical to a serial CompilationSession loop over the same
-/// vector (pinned by tests/session/session_pool_test.cc on the linear,
-/// star, random and TPC-H workloads).
+/// vector (tests/common/serial_batch.h; pinned by
+/// tests/session/session_pool_test.cc on the linear, star, random and
+/// TPC-H workloads).
 ///
 /// The pool keeps its sessions across batches, so repeated batches reuse
 /// warm arenas exactly like a long-lived serial session does. The pool
@@ -100,54 +101,21 @@ class SessionPool {
   SessionPool& operator=(const SessionPool&) = delete;
 
   /// Plan-compiles the batch; results in input order. A null pointer or a
-  /// failing query yields a Status at its index.
-  BatchOptimizeResult CompileBatch(
-      const std::vector<const QueryGraph*>& queries);
-
-  /// Governed plan batch: `limits` applies per query (each compile re-arms
-  /// its worker's budget), so a runaway query degrades or fails at its own
-  /// index while every other result is bit-identical to the ungoverned
-  /// batch — per-index isolation under concurrency.
+  /// failing query yields a Status at its index. `limits` applies per
+  /// query (each compile re-arms its worker's budget), so a runaway query
+  /// degrades or fails at its own index while every other result is
+  /// bit-identical to the ungoverned batch — per-index isolation under
+  /// concurrency.
   BatchOptimizeResult CompileBatch(
       const std::vector<const QueryGraph*>& queries,
-      const ResourceLimits& limits);
-
-  /// Governed plan batch with *per-query* limits: `per_query[i]` arms the
-  /// budget for `queries[i]`. This is the scheduler hook the compile
-  /// service uses — each query runs under limits derived from its own
-  /// estimate, so one under-estimated query degrades at its index without
-  /// loosening or tightening anyone else's budget. Sizes must match.
-  BatchOptimizeResult CompileBatch(
-      const std::vector<const QueryGraph*>& queries,
-      const std::vector<ResourceLimits>& per_query);
-
-  /// Per-query-limits batch that additionally attributes pipeline stage
-  /// events: the claiming worker installs `observer` with
-  /// `per_query_observer_ctx[i]` on its session for exactly the span of
-  /// `queries[i]`'s compile, then clears it — so each query's stage
-  /// events (and any budget-trip flag they carry) land in that query's
-  /// own context object no matter which worker ran it or in what order.
-  /// The compile service uses this to gather the same observer-side trip
-  /// evidence on the batch path that the open-loop Run gathers per
-  /// dispatch. `observer` may be null (contexts then unused); when given,
-  /// `per_query_observer_ctx` must have one slot per query, and each ctx
-  /// must be written by no one else while the batch runs.
-  BatchOptimizeResult CompileBatch(
-      const std::vector<const QueryGraph*>& queries,
-      const std::vector<ResourceLimits>& per_query, StageObserverFn observer,
-      void* const* per_query_observer_ctx);
+      const ResourceLimits& limits = {});
 
   /// Estimate-compiles the batch (§3 mode); results in input order. Null
-  /// pointers yield a default (all-zero) estimate.
+  /// pointers yield a default (all-zero) estimate; under finite `limits`
+  /// a tripped query comes back flagged degraded at its index.
   BatchEstimateResult EstimateBatch(
       const std::vector<const QueryGraph*>& queries,
-      const TimeModel& time_model);
-
-  /// Governed estimate batch (per-query limits; tripped queries come back
-  /// flagged degraded at their index).
-  BatchEstimateResult EstimateBatch(
-      const std::vector<const QueryGraph*>& queries,
-      const TimeModel& time_model, const ResourceLimits& limits);
+      const TimeModel& time_model, const ResourceLimits& limits = {});
 
   int num_workers() const { return static_cast<int>(sessions_.size()); }
 

@@ -362,6 +362,35 @@ TEST_F(AsyncServiceTest, RejectShedsAtSubmitExactlyLikeTheSimulatedOracle) {
   EXPECT_EQ(ra.taxonomy.served_degraded, rs.taxonomy.served_degraded);
   EXPECT_EQ(ra.taxonomy.TotalTickets(), static_cast<int64_t>(subs.size()));
   EXPECT_GT(ra.taxonomy.shed_queue_full, 0) << "burst must actually overflow";
+
+  // Only a compiled final attempt may feed the cache or the tracker. Shed
+  // records go through the same commit step as served ones, so on both
+  // front-ends this rests on that step's status and limits guards.
+  EXPECT_EQ(ra.cache_stats.insertions, rs.cache_stats.insertions);
+  ASSERT_EQ(ra.class_feedback.size(), rs.class_feedback.size());
+  for (size_t k = 0; k < ra.class_feedback.size(); ++k) {
+    EXPECT_EQ(ra.class_feedback[k].query_class,
+              rs.class_feedback[k].query_class);
+    EXPECT_EQ(ra.class_feedback[k].armed, rs.class_feedback[k].armed) << k;
+    EXPECT_EQ(ra.class_feedback[k].tripped, rs.class_feedback[k].tripped)
+        << k;
+  }
+  for (const ServiceReport* r : {&ra, &rs}) {
+    int64_t compiled_with_limits = 0;
+    for (const ServiceQueryRecord& rec : r->records) {
+      if (rec.outcome == ServiceOutcome::kShedQueueFull ||
+          rec.outcome == ServiceOutcome::kShedExpired) {
+        EXPECT_FALSE(rec.cache_inserted) << rec.ticket;
+      } else if (!rec.limits.Unlimited()) {
+        ++compiled_with_limits;
+      }
+    }
+    int64_t tracker_armed = 0;
+    for (const TripRateTracker::ClassSnapshot& c : r->class_feedback) {
+      tracker_armed += c.armed;
+    }
+    EXPECT_EQ(tracker_armed, compiled_with_limits);
+  }
 }
 
 TEST_F(AsyncServiceTest, ShedLowestValueEvictionsMatchTheSimulatedOracle) {

@@ -417,29 +417,5 @@ TEST(ServiceFaultTest, MidQueueFaultDrainsAndServiceStaysReusable) {
   ASSERT_EQ(again.records.size(), subs.size());
 }
 
-TEST(ServiceFaultTest, BatchFaultLandsAtItsInputIndexOnly) {
-  Workload w = LinearWorkload();
-  std::vector<const QueryGraph*> qs;
-  for (const QueryGraph& q : w.queries) qs.push_back(&q);
-
-  CompileServiceOptions o = ServiceOptions();
-  o.num_workers = 4;
-  o.policy = SchedulingPolicy::kShortestEstimatedFirst;
-  CompileService service(o);
-  FaultScript script;
-  script.FailAt(kFaultPlanComplete, qs[7], Status::Internal("scripted"),
-                /*occurrence=*/0);
-  ServiceBatchResult batch = service.CompileBatch(qs);
-  ASSERT_EQ(batch.results.size(), qs.size());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    if (i == 7) {
-      EXPECT_FALSE(batch.results[i].ok());
-      EXPECT_EQ(batch.results[i].status().code(), StatusCode::kInternal);
-    } else {
-      EXPECT_TRUE(batch.results[i].ok()) << i;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace cote

@@ -6,6 +6,7 @@
 #include "core/meta_optimizer.h"
 #include "session/session.h"
 #include "session/session_pool.h"
+#include "tests/common/serial_batch.h"
 #include "workload/workload.h"
 
 namespace cote {
@@ -377,7 +378,7 @@ TEST(GovernanceTest, SerialGovernedBatchIsolatesPerIndex) {
   ResourceLimits limits;
   limits.max_memo_entries = 64;
   CompilationSession governed(SmallOptions());
-  auto batch = governed.CompileBatch(qs, limits);
+  auto batch = SerialCompileBatch(governed, qs, limits);
   ASSERT_EQ(batch.size(), qs.size());
   ASSERT_TRUE(batch[0].ok() && batch[1].ok() && batch[2].ok() &&
               batch[3].ok());
@@ -388,7 +389,7 @@ TEST(GovernanceTest, SerialGovernedBatchIsolatesPerIndex) {
 
   // The untouched indices match an entirely ungoverned batch.
   CompilationSession plain(SmallOptions());
-  auto reference = plain.CompileBatch(qs);
+  auto reference = SerialCompileBatch(plain, qs);
   ExpectSameOptimize(*batch[0], *reference[0]);
   ExpectSameOptimize(*batch[2], *reference[2]);
   EXPECT_EQ(governed.stats().degraded_runs, 2);
@@ -436,7 +437,7 @@ TEST(GovernedSessionPoolTest, PoolMatchesSerialGovernedBatch) {
   BatchOptimizeResult got = pool.CompileBatch(qs, limits);
 
   CompilationSession serial(SmallOptions());
-  auto reference = serial.CompileBatch(qs, limits);
+  auto reference = SerialCompileBatch(serial, qs, limits);
   ASSERT_EQ(got.results.size(), reference.size());
   int degraded = 0;
   for (size_t i = 0; i < qs.size(); ++i) {

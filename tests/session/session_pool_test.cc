@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/statement_cache.h"
+#include "tests/common/serial_batch.h"
 #include "workload/workload.h"
 
 namespace cote {
@@ -70,7 +71,7 @@ TEST(SessionPoolTest, CompileBatchMatchesSerialLoop) {
     SCOPED_TRACE(w.name);
     std::vector<const QueryGraph*> qs = Pointers(w);
     CompilationSession serial(SmallOptions());
-    std::vector<StatusOr<OptimizeResult>> expected = serial.CompileBatch(qs);
+    std::vector<StatusOr<OptimizeResult>> expected = SerialCompileBatch(serial, qs);
 
     SessionPool pool(4, SmallOptions());
     BatchOptimizeResult got = pool.CompileBatch(qs);
@@ -91,7 +92,7 @@ TEST(SessionPoolTest, EstimateBatchMatchesSerialLoop) {
     SCOPED_TRACE(w.name);
     std::vector<const QueryGraph*> qs = Pointers(w);
     CompilationSession serial(SmallOptions());
-    std::vector<CompileTimeEstimate> expected = serial.EstimateBatch(qs, model);
+    std::vector<CompileTimeEstimate> expected = SerialEstimateBatch(serial, qs, model);
 
     SessionPool pool(4, SmallOptions());
     BatchEstimateResult got = pool.EstimateBatch(qs, model);
@@ -234,7 +235,7 @@ TEST(SessionPoolTest, StressReplicatedBatchMatchesSerial) {
   }
   TimeModel model = BenchModel();
   CompilationSession serial(SmallOptions());
-  std::vector<CompileTimeEstimate> expected = serial.EstimateBatch(qs, model);
+  std::vector<CompileTimeEstimate> expected = SerialEstimateBatch(serial, qs, model);
 
   SessionPool pool(4, SmallOptions());
   BatchEstimateResult got = pool.EstimateBatch(qs, model);
@@ -287,45 +288,6 @@ TEST(SessionPoolTest, SharedCacheCompileThroughReturnsOwnSeconds) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(cache.size(), static_cast<size_t>(w.size()));
-}
-
-TEST(SessionPoolTest, PerQueryLimitsApplyAtTheirOwnIndex) {
-  // The scheduler hook: each query runs under its *own* limits. A tiny
-  // entry cap pinned to the 10-table queries degrades exactly those
-  // indices; everything else must be bit-identical to an ungoverned batch.
-  Workload w = StarWorkload();
-  std::vector<const QueryGraph*> qs = Pointers(w);
-  std::vector<ResourceLimits> per_query(qs.size());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    if (w.queries[i].num_tables() >= 10) per_query[i].max_memo_entries = 24;
-  }
-
-  SessionPool pool(4, SmallOptions());
-  BatchOptimizeResult governed = pool.CompileBatch(qs, per_query);
-  SessionPool plain_pool(4, SmallOptions());
-  BatchOptimizeResult plain = plain_pool.CompileBatch(qs);
-
-  ASSERT_EQ(governed.results.size(), qs.size());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    ASSERT_TRUE(governed.results[i].ok()) << i;
-    ASSERT_TRUE(plain.results[i].ok()) << i;
-    if (w.queries[i].num_tables() >= 10) {
-      EXPECT_TRUE(governed.results[i]->degraded) << i;
-      EXPECT_EQ(governed.results[i]->tripped_limit, BudgetLimit::kMemoEntries)
-          << i;
-    } else {
-      EXPECT_FALSE(governed.results[i]->degraded) << i;
-      ExpectSameOptimize(*governed.results[i], *plain.results[i]);
-    }
-  }
-}
-
-TEST(SessionPoolTest, PerQueryLimitsSizeMismatchIsFatal) {
-  Workload w = LinearWorkload();
-  std::vector<const QueryGraph*> qs = Pointers(w);
-  SessionPool pool(2, SmallOptions());
-  std::vector<ResourceLimits> wrong(qs.size() - 1);
-  EXPECT_DEATH(pool.CompileBatch(qs, wrong), "");
 }
 
 TEST(SessionPoolTest, SharedCacheEvictionUnderContention) {

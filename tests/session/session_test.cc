@@ -239,23 +239,6 @@ TEST(CompilationSessionTest, StageSumNeverExceedsTotal) {
   EXPECT_LE(low_session.stats().last_stages.Total(), r->stats.total_seconds);
 }
 
-TEST(CompilationSessionTest, SerialBatchMatchesLoop) {
-  Workload w = LinearWorkload();
-  std::vector<const QueryGraph*> qs;
-  for (size_t i = 2; i <= 5; ++i) qs.push_back(&w.queries[i]);
-  CompilationSession batch_session(SmallOptions());
-  auto batch = batch_session.CompileBatch(qs);
-  ASSERT_EQ(batch.size(), qs.size());
-  CompilationSession loop_session(SmallOptions());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    auto expected = loop_session.Optimize(*qs[i]);
-    ASSERT_TRUE(expected.ok() && batch[i].ok());
-    ExpectSameOptimize(*batch[i], *expected);
-  }
-  EXPECT_EQ(batch_session.stats().plans_compiled,
-            static_cast<int64_t>(qs.size()));
-}
-
 TEST(CompilationSessionTest, StatementCacheCompileThrough) {
   Workload w = LinearWorkload();
   const QueryGraph& q = w.queries[3];

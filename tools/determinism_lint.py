@@ -128,6 +128,10 @@ DET_FUNCTIONS = {
     },
     "src/service/compile_service.cc": {
         "CompileService::Run": (),
+        "ServiceCore::Admit": (),
+        "ServiceCore::TierAt": (),
+        "ServiceCore::Retry": (),
+        "ServiceCore::Commit": (),
         "ClassifyRecord": (),
         "BuildTaxonomy": (),
     },

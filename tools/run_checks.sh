@@ -291,13 +291,12 @@ fi
 # adds parallel_session_test (SessionParallel* fixtures: shard fill /
 # rank-barrier merge, the shared cancel flag, budget fold-and-trip, and
 # team teardown under injected faults — this run IS the race-freedom proof
-# the golden-equivalence suite assumes). The compile service's closed-loop
-# batch path (service_test, Service* fixtures) drives the pool's real
-# threads through per-query limits and the shared statement cache, so it
-# races here too, and async_service_test (AsyncService* fixtures, >= 4
-# worker threads) races the live executor's condvar/ready-queue handoff,
-# per-worker warm sessions, and guarded results sink — the TSan run is the
-# dynamic half of the oracle test's determinism claim. chaos_soak_test
+# the golden-equivalence suite assumes). service_test (Service* fixtures)
+# runs the compile service's shared core on the simulated loop, and
+# async_service_test (AsyncService* fixtures, >= 4 worker threads) races
+# the live executor's condvar/ready-queue handoff, the core's Dispatch on
+# per-worker warm sessions, and the guarded results sink — the TSan run is
+# the dynamic half of the oracle test's determinism claim. chaos_soak_test
 # (ChaosSoakServiceTest / ServiceBudgetCancelTest fixtures) is the
 # overload-resilience soak: seeded overload + injected faults + budget
 # trips + supervisor cancels through both front-ends; it runs as its own
