@@ -21,16 +21,13 @@ int ServiceQueryClass(const QueryGraph& graph);
 /// evidence just like a degraded result.
 bool IsBudgetTripStatus(const Status& status);
 
-/// The one trip predicate every execution path feeds the tracker with:
-/// an armed compile counts as tripped when its result degraded
-/// (kGreedyFallback), when its failure Status is the budget's own
-/// (kFail), or when the stage observer saw the budget flag raise
-/// (`observer_tripped`) — the last catches trips detected after
-/// enumeration already finished, where the result is neither degraded
-/// nor failed. The simulated Run, the closed-loop CompileBatch, and the
-/// async executor all call exactly this function, so per-class headroom
-/// feedback cannot diverge by execution path (pinned by
-/// ServiceTripPredicateTest).
+/// The one trip predicate the tracker is fed with: an armed compile
+/// counts as tripped when its result degraded (kGreedyFallback), when its
+/// failure Status is the budget's own (kFail), or when the stage observer
+/// saw the budget flag raise (`observer_tripped`) — the last catches trips
+/// detected after enumeration already finished, where the result is
+/// neither degraded nor failed. ServiceCore::Commit calls it for both
+/// service front-ends (pinned by ServiceTripPredicateTest).
 bool IsBudgetTrip(bool degraded, const Status& status, bool observer_tripped);
 
 struct TripTrackerOptions {
