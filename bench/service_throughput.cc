@@ -105,8 +105,7 @@ TimeModel SweepTimeModel() {
 double MeanPredictedSeconds(const std::vector<const QueryGraph*>& pool,
                             const OptimizerOptions& options,
                             const TimeModel& model) {
-  AdmissionStage probe(options, PlanCounterOptions(), model,
-                       AdmissionOptions(), nullptr, nullptr);
+  AdmissionStage probe(options, model, AdmissionOptions(), nullptr, nullptr);
   double sum = 0;
   for (const QueryGraph* q : pool) {
     sum += probe.Admit(*q, ServiceQueryClass(*q)).predicted_seconds;

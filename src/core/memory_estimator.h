@@ -20,9 +20,8 @@ struct MemoryEstimate {
 
 class MemoryEstimator {
  public:
-  explicit MemoryEstimator(const OptimizerOptions& options,
-                           const PlanCounterOptions& counter_options = {})
-      : estimator_(TimeModel{}, options, counter_options) {}
+  explicit MemoryEstimator(const OptimizerOptions& options)
+      : estimator_(TimeModel{}, options) {}
 
   MemoryEstimate Estimate(const QueryGraph& graph) const {
     CompileTimeEstimate est = estimator_.Estimate(graph);

@@ -1,9 +1,9 @@
 #include "core/multilevel.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 
+#include "common/check.h"
 #include "common/timer.h"
 
 namespace cote {
@@ -49,12 +49,14 @@ class DemuxVisitor : public JoinVisitor {
 
 MultiLevelEstimator::MultiLevelEstimator(
     const TimeModel& time_model, OptimizerOptions base_options,
-    std::vector<int> inner_limits, const PlanCounterOptions& counter_options)
+    std::vector<int> inner_limits)
     : time_model_(time_model),
       inner_limits_(std::move(inner_limits)),
-      session_(std::move(base_options), counter_options) {
-  assert(!inner_limits_.empty());
-  assert(std::is_sorted(inner_limits_.begin(), inner_limits_.end()));
+      session_(std::move(base_options)) {
+  // Always on: Estimate() enumerates at inner_limits_.back(), which must
+  // exist and be the widest level.
+  COTE_CHECK(!inner_limits_.empty());
+  COTE_CHECK(std::is_sorted(inner_limits_.begin(), inner_limits_.end()));
 }
 
 MultiLevelEstimator::Result MultiLevelEstimator::Estimate(
@@ -62,8 +64,8 @@ MultiLevelEstimator::Result MultiLevelEstimator::Estimate(
   StopWatch watch;
   Result result;
 
-  // The session context supplies the per-query models and the counter
-  // options reconciled with the optimizer configuration; the N per-level
+  // The session context supplies the per-query models and the normalized
+  // plan-generation options the counters count for; the N per-level
   // counters themselves are this estimator's own (they share one
   // enumeration pass, which no single session counter can express).
   CompilationContext& ctx = session_.context();
@@ -74,7 +76,7 @@ MultiLevelEstimator::Result MultiLevelEstimator::Estimate(
   std::vector<std::unique_ptr<PlanCounter>> counters;
   for (size_t i = 0; i < inner_limits_.size(); ++i) {
     counters.push_back(std::make_unique<PlanCounter>(
-        graph, interesting, simple_card, ctx.counter_options()));
+        graph, interesting, simple_card, ctx.options().plangen));
   }
   DemuxVisitor demux(std::move(counters), inner_limits_);
 

@@ -24,8 +24,7 @@ class MultiLevelEstimator {
   /// level actually enumerated.
   MultiLevelEstimator(const TimeModel& time_model,
                       OptimizerOptions base_options,
-                      std::vector<int> inner_limits,
-                      const PlanCounterOptions& counter_options = {});
+                      std::vector<int> inner_limits);
 
   struct LevelEstimate {
     int inner_limit = 0;
@@ -46,7 +45,7 @@ class MultiLevelEstimator {
   TimeModel time_model_;
   std::vector<int> inner_limits_;
   /// Source of the per-query models (simple cardinality, interesting
-  /// orders) and of the reconciled counter options; the per-level
+  /// orders) and of the normalized plan-generation options; the per-level
   /// counters are built on top of it. Mutable: Estimate() is const in
   /// its results while the context rebinds underneath.
   mutable CompilationSession session_;

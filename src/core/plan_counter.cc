@@ -3,16 +3,19 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "optimizer/properties/join_rules.h"
 
 namespace cote {
 
 PlanCounter::PlanCounter(const QueryGraph& graph,
                          const InterestingOrders& interesting,
                          const CardinalityModel& cardinality,
+                         const PlanGenOptions& plangen,
                          const PlanCounterOptions& options)
     : graph_(&graph),
       interesting_(&interesting),
       card_(&cardinality),
+      plangen_(plangen),
       options_(options) {}
 
 void PlanCounter::Rebind(const QueryGraph& graph,
@@ -131,15 +134,8 @@ void PlanCounter::InitializeEntry(TableSet s) {
   EntryState& state = State(s);
   // Logical properties, computed once per entry (equivalence is needed to
   // canonicalize and dedupe property values — §3.3: "equivalence needs to
-  // be checked for each enumerated join"). The internal-predicate gather
-  // walks only the set's own edges, in the ascending index order the old
-  // full-list scan produced.
-  graph_->InternalPredicates(s, &pred_scratch_);
-  for (int pi : pred_scratch_) {
-    const JoinPredicate& p = graph_->join_predicates()[pi];
-    if (p.kind != JoinKind::kInner) continue;
-    state.equiv.AddEquivalence(p.left, p.right);
-  }
+  // be checked for each enumerated join").
+  AddEntryEquivalences(*graph_, s, &pred_scratch_, &state.equiv);
   state.cardinality = card_->JoinRows(s);
   if (s.size() > 1) return;
 
@@ -167,12 +163,11 @@ void PlanCounter::InitializeEntry(TableSet s) {
     cols_scratch_.clear();
     for (int ord : idx.key_columns) cols_scratch_.emplace_back(s.First(), ord);
     raw_order_scratch_.Assign(cols_scratch_);
-    raw_order_scratch_.CanonicalizeInto(state.equiv, &canon_order_scratch_);
-    const OrderProperty& o = canon_order_scratch_;
-    if (o.IsNone() ||
-        !interesting_->Useful(o, s, state.equiv, &interest_scratch_)) {
+    if (!RetainOrder(raw_order_scratch_, s, state.equiv, *interesting_,
+                     &interest_scratch_, &canon_order_scratch_)) {
       continue;
     }
+    const OrderProperty& o = canon_order_scratch_;
     if (std::find(state.orders.begin(), state.orders.end(), o) ==
         state.orders.end()) {
       state.orders.push_back(o);
@@ -184,34 +179,19 @@ void PlanCounter::InitializeEntry(TableSet s) {
   // every other list push so that re-running enumeration over the same
   // counter stays idempotent (the un-guarded push was a latent bug: a
   // second run would duplicate every base-table partition value).
-  if (options_.parallel) {
-    const int t = s.First();
-    const Table* table = graph_->table_ref(t).table;
-    const PartitioningSpec& spec = table->partitioning();
-    auto seed = [&state](const PartitionProperty& p) {
-      if (std::find(state.partitions.begin(), state.partitions.end(), p) ==
-          state.partitions.end()) {
-        state.partitions.push_back(p);
-      }
-    };
-    switch (spec.kind) {
-      case PartitionKind::kHash: {
-        cols_scratch_.clear();
-        for (int ord : spec.key_columns) cols_scratch_.emplace_back(t, ord);
-        hash_scratch_.AssignHash(cols_scratch_);
-        seed(hash_scratch_);
-        break;
-      }
-      case PartitionKind::kReplicated:
-        seed(PartitionProperty::Replicated());
-        break;
-      case PartitionKind::kSingleNode:
-        seed(PartitionProperty::SingleNode());
-        break;
+  if (plangen_.parallel) {
+    BasePartition(*graph_, s.First(), &cols_scratch_, &hash_scratch_);
+    if (std::find(state.partitions.begin(), state.partitions.end(),
+                  hash_scratch_) == state.partitions.end()) {
+      state.partitions.push_back(hash_scratch_);
     }
   }
 
-  if (options_.parallel && options_.eager_partitions) {
+  // Eager partition policy: every join column of the table seeds a hash
+  // partition. Unlike the generator, which skips a target some scan
+  // already satisfies (all of them, on a replicated table), the counter
+  // seeds every target.
+  if (plangen_.parallel && plangen_.eager_partitions) {
     const int t = s.First();
     for (const JoinPredicate& pred : graph_->join_predicates()) {
       ColumnRef side = pred.SideIn(t);
@@ -231,7 +211,7 @@ void PlanCounter::InitializeEntry(TableSet s) {
     // Every pair shares the base partition; copy-assigning into the
     // scratch pair keeps its buffers.
     const PartitionProperty serial;
-    compound_scratch_.second = options_.parallel && !state.partitions.empty()
+    compound_scratch_.second = plangen_.parallel && !state.partitions.empty()
                                    ? state.partitions[0]
                                    : serial;
     // Deduped for the same idempotence reason as the partition seeding.
@@ -250,13 +230,12 @@ void PlanCounter::InitializeEntry(TableSet s) {
 void PlanCounter::PropagateOrders(const EntryState& from, TableSet j,
                                   EntryState* to) {
   for (const OrderProperty& o : from.orders) {
-    o.CanonicalizeInto(to->equiv, &canon_order_scratch_);
-    const OrderProperty& canon = canon_order_scratch_;
-    if (canon.IsNone()) continue;
     // Retired by the join, or not interesting above `j`?
-    if (!interesting_->Useful(canon, j, to->equiv, &interest_scratch_)) {
+    if (!RetainOrder(o, j, to->equiv, *interesting_, &interest_scratch_,
+                     &canon_order_scratch_)) {
       continue;
     }
+    const OrderProperty& canon = canon_order_scratch_;
     // Equivalent to a property already in the list?
     if (std::find(to->orders.begin(), to->orders.end(), canon) !=
         to->orders.end()) {
@@ -266,9 +245,8 @@ void PlanCounter::PropagateOrders(const EntryState& from, TableSet j,
   }
 }
 
-void PlanCounter::PropagatePartitions(const EntryState& from, TableSet j,
+void PlanCounter::PropagatePartitions(const EntryState& from,
                                       EntryState* to) {
-  (void)j;
   for (const PartitionProperty& p : from.partitions) {
     p.CanonicalizeInto(to->equiv, &part_scratch_);
     const PartitionProperty& canon = part_scratch_;
@@ -277,45 +255,6 @@ void PlanCounter::PropagatePartitions(const EntryState& from, TableSet j,
       to->partitions.push_back(canon);
     }
   }
-}
-
-void PlanCounter::JoinPartitions(const EntryState& s, const EntryState& l,
-                                 const std::vector<ColumnRef>& jcols,
-                                 const EntryState& j,
-                                 SlotVector<PartitionProperty>* out_vec) {
-  SlotVector<PartitionProperty>& out = *out_vec;
-  out.clear();
-  if (!options_.parallel) {
-    out.push_back(PartitionProperty::Serial());
-    return;
-  }
-  auto add = [&out](const PartitionProperty& p) {
-    if (std::find(out.begin(), out.end(), p) == out.end()) out.push_back(p);
-  };
-  for (const EntryState* e : {&s, &l}) {
-    for (const PartitionProperty& p : e->partitions) {
-      p.CanonicalizeInto(j.equiv, &part_scratch_);
-      const PartitionProperty& canon = part_scratch_;
-      if (canon.kind() == PartitionProperty::Kind::kHash &&
-          canon.KeysSubsetOf(jcols)) {
-        add(canon);
-      }
-    }
-  }
-  auto has_single = [](const EntryState& e) {
-    for (const PartitionProperty& p : e.partitions) {
-      if (p.kind() == PartitionProperty::Kind::kSingleNode) return true;
-    }
-    return false;
-  };
-  if (has_single(s) && has_single(l)) add(PartitionProperty::SingleNode());
-  // The DB2 repartition heuristic: no input partitioned on a join column →
-  // both sides are repartitioned, creating a new partition value (§4).
-  if (out.empty() && !jcols.empty()) {
-    hash_scratch_.AssignHash(jcols);
-    add(hash_scratch_);
-  }
-  if (out.empty()) add(PartitionProperty::SingleNode());
 }
 
 void PlanCounter::OnJoin(TableSet outer, TableSet inner,
@@ -354,20 +293,17 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
   if (may_propagate) {
     PropagateOrders(s, jset, &j);
     PropagateOrders(l, jset, &j);
-    if (options_.parallel) {
-      PropagatePartitions(s, jset, &j);
-      PropagatePartitions(l, jset, &j);
+    if (plangen_.parallel) {
+      PropagatePartitions(s, &j);
+      PropagatePartitions(l, &j);
     }
     if (options_.multi_property == MultiPropertyMode::kCompound) {
       auto& [canon_o, canon_p] = compound_scratch_;
       for (const EntryState* e : {&s, &l}) {
         for (const auto& [o, pt] : e->compound) {
-          o.CanonicalizeInto(j.equiv, &canon_o);
-          if (!canon_o.IsNone() &&
-              !interesting_->Useful(canon_o, jset, j.equiv,
-                                    &interest_scratch_)) {
-            canon_o.Assign({});  // component retired (buffer kept)
-          }
+          // A retired component collapses to DC (buffer kept).
+          RetainOrder(o, jset, j.equiv, *interesting_, &interest_scratch_,
+                      &canon_o);
           pt.CanonicalizeInto(j.equiv, &canon_p);
           if (std::find(j.compound.begin(), j.compound.end(),
                         compound_scratch_) == j.compound.end()) {
@@ -380,28 +316,16 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
 
   // ---- accumulate_plans(): per-join-method plan counting (Table 3).
 
-  // J-canonical join column representatives.
-  jcols_.clear();
-  for (int pi : pred_indices) {
-    ColumnRef rep = j.equiv.Find(graph_->join_predicates()[pi].left);
-    if (std::find(jcols_.begin(), jcols_.end(), rep) == jcols_.end()) {
-      jcols_.push_back(rep);
-    }
-  }
-  JoinPartitions(s, l, jcols_, j, &jparts_);
-  bool fresh_target = false;
-  if (options_.parallel && jparts_.size() == 1 && !jcols_.empty()) {
-    hash_scratch_.AssignHash(jcols_);
-    fresh_target = jparts_[0] == hash_scratch_ && [&] {
-      for (const EntryState* e : {&s, &l}) {
-        for (const PartitionProperty& p : e->partitions) {
-          p.CanonicalizeInto(j.equiv, &part_scratch_);
-          if (part_scratch_ == jparts_[0]) return false;
+  CanonicalJoinColumns(*graph_, pred_indices, j.equiv, &jcols_);
+  // The co-location rule over the inputs' partition lists.
+  const bool fresh_target = JoinPartitions(
+      plangen_.parallel,
+      [&s, &l](int side, const auto& fn) {
+        for (const PartitionProperty& p : (side == 0 ? s : l).partitions) {
+          fn(p);
         }
-      }
-      return true;
-    }();
-  }
+      },
+      jcols_, j.equiv, &part_scratch_, &jparts_);
   if (fresh_target) {
     // The new partition value becomes interesting for the joined entry.
     if (std::find(j.partitions.begin(), j.partitions.end(), jparts_[0]) ==
@@ -417,7 +341,7 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
   // enumerator filters), implementing §4 item 3.
   int64_t outer_orders;
   if (options_.multi_property == MultiPropertyMode::kCompound &&
-      options_.parallel) {
+      plangen_.parallel) {
     // Distinct order components among the compound pairs (None included
     // via retired-order pairs) — compound values pair each with the same
     // partition alternatives. distinct_orders_ is per-call scratch; a
@@ -438,40 +362,28 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
   // Index nested-loops variant: available when the inner input is a base
   // table with an index led by a join column (and, in parallel mode, the
   // inner is co-located or replicated) — one extra plan per outer order.
+  // The generator asks the co-location question of the one plan it
+  // probes; the counter, which has no plans, of the inner's partition list.
   int64_t inl_variant = 0;
-  if (inner.size() == 1 && !pred_indices.empty()) {
+  if (inner.size() == 1) {
     const int t = inner.First();
-    const Table* table = graph_->table_ref(t).table;
-    for (const Index& idx : table->indexes()) {
-      if (idx.key_columns.empty()) continue;
-      ColumnRef leading(t, idx.key_columns[0]);
-      bool leads_join = false;
-      for (int pi : pred_indices) {
-        if (graph_->join_predicates()[pi].SideIn(t) == leading) {
-          leads_join = true;
-          break;
-        }
+    for (const Index& idx : graph_->table_ref(t).table->indexes()) {
+      if (IndexLeadsJoin(*graph_, t, idx, pred_indices)) {
+        inl_variant = 1;
+        break;
       }
-      if (!leads_join) continue;
-      if (options_.parallel) {
-        bool colocated = false;
-        for (const PartitionProperty& p : l.partitions) {
-          p.CanonicalizeInto(j.equiv, &part_scratch_);
-          const PartitionProperty& canon = part_scratch_;
-          colocated |=
-              canon.kind() == PartitionProperty::Kind::kReplicated ||
-              (canon.kind() == PartitionProperty::Kind::kHash &&
-               canon.KeysSubsetOf(jcols_));
-        }
-        if (!colocated) continue;
-      }
-      inl_variant = 1;
-      break;
     }
+  }
+  if (inl_variant == 1 && plangen_.parallel) {
+    bool colocated = false;
+    for (const PartitionProperty& p : l.partitions) {
+      colocated |= ProbeColocated(p, jcols_, j.equiv, &part_scratch_);
+    }
+    if (!colocated) inl_variant = 0;
   }
 
   const int64_t colocation_alternatives =
-      options_.parallel ? static_cast<int64_t>(jparts_.size()) + 1 : 1;
+      plangen_.parallel ? static_cast<int64_t>(jparts_.size()) + 1 : 1;
   AddPlans(JoinMethod::kNljn,
            (outer_orders + 1) * (colocation_alternatives + inl_variant));
 
@@ -479,7 +391,10 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
 
   // MGJN: partial propagation — listp = interesting orders from the inputs
   // matching the join columns; listc = coverage (orders subsuming a listp
-  // member, §3.3/§4 item 2).
+  // member, §3.3/§4 item 2). Table 3 has no composite candidate: the
+  // generator's extra merge on all join columns at once (joins with >= 2
+  // predicates) is never counted, the whole of the star_s MGJN
+  // underestimate in Figure 5.
   //
   // Canonicalize each input order once (deduped); listp_/listc_ hold
   // indices into canon_inputs_, so dedupe is index identity and the
@@ -540,7 +455,7 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
   // HSJN: no order propagation — one plan per co-location alternative,
   // plus the broadcast-inner variant in parallel mode.
   AddPlans(JoinMethod::kHsjn, static_cast<int64_t>(jparts_.size()));
-  if (options_.parallel) {
+  if (plangen_.parallel) {
     bool outer_all_replicated = true;
     for (const PartitionProperty& p : s.partitions) {
       if (p.kind() != PartitionProperty::Kind::kReplicated) {
@@ -567,7 +482,7 @@ int64_t PlanCounter::TotalPlanSlots() const {
     const EntryState& state = states_[i];
     int64_t orders = static_cast<int64_t>(state.orders.size()) + 1;
     int64_t parts =
-        options_.parallel
+        plangen_.parallel
             ? std::max<int64_t>(1,
                                 static_cast<int64_t>(state.partitions.size()))
             : 1;

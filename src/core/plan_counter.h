@@ -9,6 +9,7 @@
 #include "common/slot_vector.h"
 #include "optimizer/cost/cardinality.h"
 #include "optimizer/enumerator.h"
+#include "optimizer/plan_generator.h"
 #include "optimizer/properties/interesting_orders.h"
 #include "optimizer/properties/partition_property.h"
 #include "optimizer/stats.h"
@@ -27,13 +28,11 @@ enum class MultiPropertyMode {
   kCompound,
 };
 
-/// \brief Options of the plan-counting visitor.
+/// \brief Options of the plan-counting visitor. The environment it counts
+/// for — parallel planning, the eager partition policy — comes from the
+/// generator's own PlanGenOptions, which the counter reads directly.
 struct PlanCounterOptions {
-  bool parallel = false;
   MultiPropertyMode multi_property = MultiPropertyMode::kSeparate;
-  /// Eager partition policy (mirrors PlanGenOptions::eager_partitions):
-  /// seed base-table partition lists with every join-column partition.
-  bool eager_partitions = false;
 
   /// §4 item 4: propagate property values only on the first join that
   /// reaches a MEMO entry (joins reaching the same entry propagate nearly
@@ -56,14 +55,19 @@ struct PlanCounterOptions {
 ///    partition multiplier;
 ///  * HSJN (none): one plan per co-location alternative.
 ///
+/// The rules it shares with the generator live in properties/join_rules.h.
+///
 /// Cardinality uses the *simple* model (no key refinement), as in the
 /// paper's prototype — which can flip the Cartesian-product heuristic and
 /// cause the small join-count deviations analysed in §5.2.
 class PlanCounter : public JoinVisitor {
  public:
+  /// `plangen` is the plan-generation configuration whose plans are
+  /// counted; only its `parallel` and `eager_partitions` apply.
   PlanCounter(const QueryGraph& graph, const InterestingOrders& interesting,
               const CardinalityModel& cardinality,
-              const PlanCounterOptions& options);
+              const PlanGenOptions& plangen,
+              const PlanCounterOptions& options = {});
 
   // JoinVisitor interface -------------------------------------------------
   void InitializeEntry(TableSet s) override;
@@ -175,24 +179,14 @@ class PlanCounter : public JoinVisitor {
   /// local state otherwise.
   const EntryState& InputState(TableSet s);
   void PropagateOrders(const EntryState& from, TableSet j, EntryState* to);
-  void PropagatePartitions(const EntryState& from, TableSet j,
-                           EntryState* to);
-
-  /// Co-location-valid output partitions for a join on `jcols` (canonical
-  /// in j's equivalence), mirroring the generator's JoinPartitions and the
-  /// DB2 repartition heuristic (§4): if no input partition matches a join
-  /// column, a fresh partition on the join columns is introduced. Fills
-  /// `out` (cleared first) so the per-join caller can reuse one buffer.
-  void JoinPartitions(const EntryState& s, const EntryState& l,
-                      const std::vector<ColumnRef>& jcols,
-                      const EntryState& j,
-                      SlotVector<PartitionProperty>* out);
+  void PropagatePartitions(const EntryState& from, EntryState* to);
 
   // Pointers (never null) rather than references so Rebind can retarget
   // the counter; the constructor still takes references.
   const QueryGraph* graph_;
   const InterestingOrders* interesting_;
   const CardinalityModel* card_;
+  PlanGenOptions plangen_;
   PlanCounterOptions options_;
 
   JoinTypeCounts estimated_;

@@ -3,28 +3,16 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "optimizer/properties/join_rules.h"
 
 namespace cote {
 
-MemoEntry::MemoEntry(TableSet set, const QueryGraph& graph)
-    : MemoEntry(set, graph, nullptr) {}
-
 MemoEntry::MemoEntry(TableSet set, const QueryGraph& graph,
                      std::vector<int>* pred_scratch)
-    : set_(set) {
-  std::vector<int> local;
-  if (pred_scratch == nullptr) pred_scratch = &local;
-  // Logical properties computed once per entry: column equivalence from the
-  // inner predicates applied inside the set, and outer-eligibility. The
-  // internal-predicate gather walks only the set's own edges (ascending
-  // index order, matching the original full-list scan).
-  graph.InternalPredicates(set, pred_scratch);
-  for (int pi : *pred_scratch) {
-    const JoinPredicate& p = graph.join_predicates()[pi];
-    if (p.kind != JoinKind::kInner) continue;
-    equiv_.AddEquivalence(p.left, p.right);
-  }
-  outer_enabled_ = graph.OuterEnabled(set);
+    : set_(set), outer_enabled_(graph.OuterEnabled(set)) {
+  // Logical properties computed once per entry: outer-eligibility, and the
+  // column equivalence of the inner predicates applied inside the set.
+  AddEntryEquivalences(graph, set, pred_scratch, &equiv_);
 }
 
 const Plan* MemoEntry::Cheapest() const {

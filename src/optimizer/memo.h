@@ -26,10 +26,9 @@ class MemoShard;
 /// entry — the paper's "property caching", §3.2).
 class MemoEntry {
  public:
-  MemoEntry(TableSet set, const QueryGraph& graph);
   /// Arena-construction path (used by Memo through the deque allocator,
-  /// hence public): `pred_scratch` (may be null) is a reusable buffer for
-  /// the internal-predicate gather.
+  /// hence public): `pred_scratch` is a reusable buffer for the
+  /// internal-predicate gather.
   MemoEntry(TableSet set, const QueryGraph& graph,
             std::vector<int>* pred_scratch);
 

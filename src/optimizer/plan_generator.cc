@@ -3,7 +3,29 @@
 #include <algorithm>
 #include <cassert>
 
+#include "optimizer/properties/join_rules.h"
+
 namespace cote {
+
+namespace {
+
+/// The co-location rule (JoinPartitions) over two MEMO entries: each input
+/// offers the partition of every plan it holds, in plan-list order.
+std::vector<PartitionProperty> PlanJoinPartitions(
+    bool parallel, const MemoEntry& s, const MemoEntry& l,
+    const std::vector<ColumnRef>& jcols, const MemoEntry& j) {
+  std::vector<PartitionProperty> out;
+  PartitionProperty scratch;
+  JoinPartitions(
+      parallel,
+      [&s, &l](int side, const auto& fn) {
+        for (const Plan* p : (side == 0 ? s : l).plans()) fn(p->partition);
+      },
+      jcols, j.equivalence(), &scratch, &out);
+  return out;
+}
+
+}  // namespace
 
 template <typename MemoT>
 PlanGeneratorT<MemoT>::PlanGeneratorT(const QueryGraph& graph, MemoT* memo,
@@ -19,6 +41,20 @@ PlanGeneratorT<MemoT>::PlanGeneratorT(const QueryGraph& graph, MemoT* memo,
       options_(options) {}
 
 template <typename MemoT>
+double PlanGeneratorT<MemoT>::AddStatsTo(OptimizeStats* stats) const {
+  stats->join_plans_generated += generated_;
+  stats->enforcer_plans += enforcers_;
+  stats->scan_plans += scan_plans_;
+  stats->pruned_by_pilot += pruned_by_pilot_;
+  for (int m = 0; m < kNumJoinMethods; ++m) {
+    stats->gen_seconds[m] += gen_time_[m].TotalSeconds();
+  }
+  stats->save_seconds += save_time_.TotalSeconds();
+  stats->init_seconds += init_time_.TotalSeconds();
+  return init_time_.TotalSeconds() + on_join_time_.TotalSeconds();
+}
+
+template <typename MemoT>
 bool PlanGeneratorT<MemoT>::SavePlan(MemoEntry* entry, Plan* plan) {
   if (options_.pilot_pass && plan->cost > options_.pilot_cost) {
     ++pruned_by_pilot_;
@@ -31,12 +67,10 @@ bool PlanGeneratorT<MemoT>::SavePlan(MemoEntry* entry, Plan* plan) {
 template <typename MemoT>
 OrderProperty PlanGeneratorT<MemoT>::OutputOrder(const OrderProperty& order,
                                          const MemoEntry& j) const {
-  if (order.IsNone()) return order;
-  OrderProperty canonical = order.Canonicalize(j.equivalence());
-  if (interesting_.Useful(canonical, j.set(), j.equivalence())) {
-    return canonical;
-  }
-  return OrderProperty::None();  // retired: collapses to DC
+  OrderProperty out;
+  OrderProperty scratch;
+  RetainOrder(order, j.set(), j.equivalence(), interesting_, &scratch, &out);
+  return out;
 }
 
 template <typename MemoT>
@@ -60,21 +94,8 @@ void PlanGeneratorT<MemoT>::InitializeEntry(TableSet s) {
 
   PartitionProperty base_part = PartitionProperty::Serial();
   if (options_.parallel) {
-    const PartitioningSpec& spec = table->partitioning();
-    switch (spec.kind) {
-      case PartitionKind::kHash: {
-        std::vector<ColumnRef> cols;
-        for (int ord : spec.key_columns) cols.emplace_back(t, ord);
-        base_part = PartitionProperty::Hash(std::move(cols));
-        break;
-      }
-      case PartitionKind::kReplicated:
-        base_part = PartitionProperty::Replicated();
-        break;
-      case PartitionKind::kSingleNode:
-        base_part = PartitionProperty::SingleNode();
-        break;
-    }
+    std::vector<ColumnRef> cols;
+    BasePartition(graph_, t, &cols, &base_part);
   }
 
   Plan* scan = memo_->NewPlan();
@@ -114,6 +135,9 @@ void PlanGeneratorT<MemoT>::InitializeEntry(TableSet s) {
   if (options_.parallel && options_.eager_partitions) {
     // Eager partition policy: force each interesting partition (a join
     // column of this table) into existence with a repartition enforcer.
+    // A target some scan already satisfies is skipped — on a replicated
+    // table, all of them. The counter seeds every target, replicated or
+    // not: that filter is the generator's own.
     const Plan* cheapest = entry->Cheapest();
     for (const JoinPredicate& pred : graph_.join_predicates()) {
       ColumnRef side = pred.SideIn(t);
@@ -253,45 +277,6 @@ const Plan* PlanGeneratorT<MemoT>::ReplicatedInput(MemoEntry* e) {
 }
 
 template <typename MemoT>
-std::vector<PartitionProperty> PlanGeneratorT<MemoT>::JoinPartitions(
-    const MemoEntry& s, const MemoEntry& l,
-    const std::vector<ColumnRef>& jcols, const MemoEntry& j) const {
-  if (!options_.parallel) return {PartitionProperty::Serial()};
-
-  std::vector<PartitionProperty> out;
-  auto add = [&out](const PartitionProperty& p) {
-    if (std::find(out.begin(), out.end(), p) == out.end()) out.push_back(p);
-  };
-  // Co-location-valid hash partitions already present in either input.
-  for (const MemoEntry* e : {&s, &l}) {
-    for (const Plan* p : e->plans()) {
-      PartitionProperty canon = p->partition.Canonicalize(j.equivalence());
-      if (canon.kind() == PartitionProperty::Kind::kHash &&
-          canon.KeysSubsetOf(jcols)) {
-        add(canon);
-      }
-    }
-  }
-  // Single-node joins are co-located if both sides can be on one node.
-  bool s_single = false, l_single = false;
-  for (const Plan* p : s.plans()) {
-    s_single |= p->partition.kind() == PartitionProperty::Kind::kSingleNode;
-  }
-  for (const Plan* p : l.plans()) {
-    l_single |= p->partition.kind() == PartitionProperty::Kind::kSingleNode;
-  }
-  if (s_single && l_single) add(PartitionProperty::SingleNode());
-
-  // No input partitioned usefully: repartition both sides on the join
-  // columns — creating a brand-new interesting partition value (§4).
-  if (out.empty() && !jcols.empty()) {
-    add(PartitionProperty::Hash(jcols));
-  }
-  if (out.empty()) add(PartitionProperty::SingleNode());
-  return out;
-}
-
-template <typename MemoT>
 void PlanGeneratorT<MemoT>::OnJoin(TableSet outer, TableSet inner,
                            const std::vector<int>& pred_indices,
                            bool cartesian) {
@@ -327,6 +312,10 @@ void PlanGeneratorT<MemoT>::OnJoin(TableSet outer, TableSet inner,
     all_outer_cols.push_back(oc);
     all_inner_cols.push_back(ic);
   }
+  // The composite candidate: one merge on all the join columns at once.
+  // Table 3's listp ∪ listc has no counterpart (the counter never counts
+  // it), so every star_s MGJN miss in Figure 5 is an underestimate of
+  // exactly one plan per ordered join with >= 2 predicates.
   if (pred_indices.size() >= 2) {
     add_candidate(MergeCandidate{all_outer_cols, all_inner_cols});
   }
@@ -338,39 +327,26 @@ void PlanGeneratorT<MemoT>::OnJoin(TableSet outer, TableSet inner,
   }
 }
 
-namespace {
-
-/// J-canonical representatives of the join columns.
-std::vector<ColumnRef> CanonicalJoinColumns(const QueryGraph& graph,
-                                            const std::vector<int>& preds,
-                                            const MemoEntry& j) {
-  std::vector<ColumnRef> out;
-  for (int pi : preds) {
-    ColumnRef rep = j.equivalence().Find(graph.join_predicates()[pi].left);
-    if (std::find(out.begin(), out.end(), rep) == out.end()) {
-      out.push_back(rep);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 template <typename MemoT>
 const Plan* PlanGeneratorT<MemoT>::IndexProbeInner(
-    const MemoEntry& l, const std::vector<int>& preds) const {
-  if (l.set().size() != 1 || preds.empty()) return nullptr;
+    const MemoEntry& l, const MemoEntry& j, const std::vector<int>& preds,
+    const std::vector<ColumnRef>& jcols) const {
+  if (l.set().size() != 1) return nullptr;
   const int t = l.set().First();
   const Table* table = graph_.table_ref(t).table;
   for (const Plan* p : l.plans()) {
     if (p->op != OpType::kIndexScan || p->index_id < 0) continue;
-    const Index& idx = table->indexes()[p->index_id];
-    if (idx.key_columns.empty()) continue;
-    ColumnRef leading(t, idx.key_columns[0]);
-    for (int pi : preds) {
-      const JoinPredicate& pred = graph_.join_predicates()[pi];
-      if (pred.SideIn(t) == leading) return p;
+    if (!IndexLeadsJoin(graph_, t, table->indexes()[p->index_id], preds)) {
+      continue;
     }
+    // Probing a distributed inner requires co-location or a local copy.
+    // The generator asks it of the plan it probes; the counter, which has
+    // no plans, of the inner's whole partition list.
+    PartitionProperty scratch;
+    const bool colocated =
+        !options_.parallel ||
+        ProbeColocated(p->partition, jcols, j.equivalence(), &scratch);
+    return colocated ? p : nullptr;
   }
   return nullptr;
 }
@@ -381,7 +357,8 @@ void PlanGeneratorT<MemoT>::GenerateNljn(MemoEntry* s, MemoEntry* l, MemoEntry* 
   std::vector<Plan*> plans;
   {
     ScopedTimer timer(&gen_time_[static_cast<int>(JoinMethod::kNljn)]);
-    std::vector<ColumnRef> jcols = CanonicalJoinColumns(graph_, preds, *j);
+    std::vector<ColumnRef> jcols;
+    CanonicalJoinColumns(graph_, preds, j->equivalence(), &jcols);
     const double out_rows = j->cardinality();
 
     auto make = [&](const Plan* po, const Plan* pi,
@@ -403,16 +380,7 @@ void PlanGeneratorT<MemoT>::GenerateNljn(MemoEntry* s, MemoEntry* l, MemoEntry* 
 
     // Index nested-loops variant: probe an inner index per outer row
     // instead of rescanning the inner.
-    const Plan* probe = IndexProbeInner(*l, preds);
-    if (options_.parallel && probe != nullptr) {
-      // Probing a distributed inner requires co-location or a local copy.
-      PartitionProperty canon = probe->partition.Canonicalize(j->equivalence());
-      bool colocated =
-          canon.kind() == PartitionProperty::Kind::kReplicated ||
-          (canon.kind() == PartitionProperty::Kind::kHash &&
-           canon.KeysSubsetOf(jcols));
-      if (!colocated) probe = nullptr;
-    }
+    const Plan* probe = IndexProbeInner(*l, *j, preds, jcols);
     auto make_inl = [&](const Plan* po) {
       if (po == nullptr || probe == nullptr) return;
       const Table* inner_table = graph_.table_ref(l->set().First()).table;
@@ -473,7 +441,7 @@ void PlanGeneratorT<MemoT>::GenerateNljn(MemoEntry* s, MemoEntry* l, MemoEntry* 
       }
     } else {
       std::vector<PartitionProperty> jparts =
-          JoinPartitions(*s, *l, jcols, *j);
+          PlanJoinPartitions(options_.parallel, *s, *l, jcols, *j);
       for (const OrderProperty& o : outer_orders) {
         for (const PartitionProperty& pv : jparts) {
           const Plan* po = InputPlan(s, o, pv);
@@ -511,8 +479,9 @@ void PlanGeneratorT<MemoT>::GenerateMgjn(MemoEntry* s, MemoEntry* l, MemoEntry* 
       OrderProperty base_out =
           OrderProperty(cand.outer_cols).Canonicalize(j->equivalence());
 
-      std::vector<ColumnRef> jcols;
-      for (const ColumnRef& c : base_out.columns()) jcols.push_back(c);
+      // The co-location rule runs per merge candidate, on that candidate's
+      // columns; the counter runs it once per join, on all join columns.
+      const std::vector<ColumnRef>& jcols = base_out.columns();
 
       // Output order candidates: the merge order itself, plus coverage —
       // outer orders that subsume it also come out sorted (§3.3), which is
@@ -534,7 +503,7 @@ void PlanGeneratorT<MemoT>::GenerateMgjn(MemoEntry* s, MemoEntry* l, MemoEntry* 
       }
 
       for (const PartitionProperty& pv :
-           JoinPartitions(*s, *l, jcols, *j)) {
+           PlanJoinPartitions(options_.parallel, *s, *l, jcols, *j)) {
         for (const OutVariant& v : variants) {
           const Plan* po = InputPlan(s, v.outer_side, pv);
           const Plan* pi = InputPlan(l, inner_req, pv);
@@ -566,7 +535,8 @@ void PlanGeneratorT<MemoT>::GenerateHsjn(MemoEntry* s, MemoEntry* l, MemoEntry* 
   std::vector<Plan*> plans;
   {
     ScopedTimer timer(&gen_time_[static_cast<int>(JoinMethod::kHsjn)]);
-    std::vector<ColumnRef> jcols = CanonicalJoinColumns(graph_, preds, *j);
+    std::vector<ColumnRef> jcols;
+    CanonicalJoinColumns(graph_, preds, j->equivalence(), &jcols);
     const double out_rows = j->cardinality();
 
     auto make = [&](const Plan* po, const Plan* pi,
@@ -586,7 +556,8 @@ void PlanGeneratorT<MemoT>::GenerateHsjn(MemoEntry* s, MemoEntry* l, MemoEntry* 
       plans.push_back(p);
     };
 
-    for (const PartitionProperty& pv : JoinPartitions(*s, *l, jcols, *j)) {
+    for (const PartitionProperty& pv :
+         PlanJoinPartitions(options_.parallel, *s, *l, jcols, *j)) {
       make(InputPlan(s, OrderProperty::None(), pv),
            InputPlan(l, OrderProperty::None(), pv), pv);
     }

@@ -72,25 +72,10 @@ class PlanGeneratorT : public JoinVisitor {
   void OnJoin(TableSet outer, TableSet inner,
               const std::vector<int>& pred_indices, bool cartesian) override;
 
-  // Results ---------------------------------------------------------------
-  const JoinTypeCounts& join_plans_generated() const { return generated_; }
-  int64_t enforcer_plans() const { return enforcers_; }
-  int64_t scan_plans() const { return scan_plans_; }
-  int64_t pruned_by_pilot() const { return pruned_by_pilot_; }
-
-  /// Time spent inside generation of plans of each join method.
-  const TimeAccumulator& gen_time(JoinMethod m) const {
-    return gen_time_[static_cast<int>(m)];
-  }
-  /// Time spent inserting plans into the MEMO ("plan saving").
-  const TimeAccumulator& save_time() const { return save_time_; }
-  /// Time spent creating entries (base plans, logical properties).
-  const TimeAccumulator& init_time() const { return init_time_; }
-  /// Total time spent inside visitor callbacks (to derive pure
-  /// enumeration time from the run's total).
-  double visitor_seconds() const {
-    return init_time_.TotalSeconds() + on_join_time_.TotalSeconds();
-  }
+  /// Adds this generator's plan counters and timers to `stats` (a parallel
+  /// run folds every worker's, in worker order). Returns the seconds spent
+  /// in visitor callbacks, which the caller subtracts from the run's total.
+  double AddStatsTo(OptimizeStats* stats) const;
 
  private:
   struct MergeCandidate {
@@ -101,8 +86,8 @@ class PlanGeneratorT : public JoinVisitor {
   /// Inserts with optional pilot-pass pruning; times as plan saving.
   bool SavePlan(MemoEntry* entry, Plan* plan);
 
-  /// Canonicalizes `order` within entry `j` and collapses it to DC if no
-  /// longer useful (retired) there.
+  /// `order` canonical in entry `j`, collapsed to DC once retired there
+  /// (RetainOrder).
   OrderProperty OutputOrder(const OrderProperty& order, const MemoEntry& j)
       const;
 
@@ -121,21 +106,15 @@ class PlanGeneratorT : public JoinVisitor {
 
   /// The inner-side index-scan plan usable for index nested-loops on this
   /// join (inner is a single base table owning an index whose leading key
-  /// column is a join column), or nullptr.
-  const Plan* IndexProbeInner(const MemoEntry& l,
-                              const std::vector<int>& preds) const;
+  /// column is a join column; in parallel mode, the probed plan must be
+  /// co-located on `jcols` or replicated), or nullptr.
+  const Plan* IndexProbeInner(const MemoEntry& l, const MemoEntry& j,
+                              const std::vector<int>& preds,
+                              const std::vector<ColumnRef>& jcols) const;
   void GenerateMgjn(MemoEntry* s, MemoEntry* l, MemoEntry* j,
                     const std::vector<MergeCandidate>& candidates);
   void GenerateHsjn(MemoEntry* s, MemoEntry* l, MemoEntry* j,
                     const std::vector<int>& preds);
-
-  /// Candidate output partitions for a join on the given (J-canonical)
-  /// join columns: co-location-valid partitions present in either input,
-  /// or a fresh repartition target when none exists (the DB2 heuristic
-  /// that creates new interesting partition values, §4).
-  std::vector<PartitionProperty> JoinPartitions(
-      const MemoEntry& s, const MemoEntry& l,
-      const std::vector<ColumnRef>& jcols, const MemoEntry& j) const;
 
   const QueryGraph& graph_;
   MemoT* memo_;

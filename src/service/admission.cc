@@ -3,7 +3,6 @@
 namespace cote {
 
 AdmissionStage::AdmissionStage(const OptimizerOptions& options,
-                               const PlanCounterOptions& counter_options,
                                const TimeModel& time_model,
                                const AdmissionOptions& admission,
                                CompileTimeCache* cache,
@@ -12,7 +11,7 @@ AdmissionStage::AdmissionStage(const OptimizerOptions& options,
       admission_(admission),
       cache_(cache),
       tracker_(tracker),
-      session_(options, counter_options) {}
+      session_(options) {}
 
 AdmissionOutcome AdmissionStage::Admit(const QueryGraph& graph,
                                        int query_class) {

@@ -60,7 +60,6 @@ class AdmissionStage {
   /// `cache` and `tracker` may be null (no cache consultation / no
   /// feedback); both must outlive the stage when given.
   AdmissionStage(const OptimizerOptions& options,
-                 const PlanCounterOptions& counter_options,
                  const TimeModel& time_model, const AdmissionOptions& admission,
                  CompileTimeCache* cache, const TripRateTracker* tracker);
 

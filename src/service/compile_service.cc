@@ -118,9 +118,9 @@ ServiceCore::ServiceCore(CompileServiceOptions options)
                  ? std::make_unique<CompileTimeCache>(options_.cache_capacity)
                  : nullptr),
       tracker_(options_.trip_tracker),
-      admission_(options_.optimizer, options_.counter, options_.time_model,
-                 options_.admission, cache_.get(), &tracker_),
-      pool_(options_.num_workers, options_.optimizer, options_.counter) {
+      admission_(options_.optimizer, options_.time_model, options_.admission,
+                 cache_.get(), &tracker_),
+      pool_(options_.num_workers, options_.optimizer) {
   if (cache_ != nullptr) {
     // The ctx points at this core's own options member, so the threshold
     // stays adjustable per service without any allocation.

@@ -42,7 +42,6 @@ using ServiceOutcomeObserverFn = void (*)(void* ctx,
 
 struct CompileServiceOptions {
   OptimizerOptions optimizer;
-  PlanCounterOptions counter;
   /// Calibrated model behind the admission estimates.
   TimeModel time_model;
   /// Simulated compile servers (and pool sessions). <= 0 selects

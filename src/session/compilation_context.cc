@@ -39,13 +39,7 @@ CompilationContext::CompilationContext(OptimizerOptions options,
                                        PlanCounterOptions counter_options)
     : options_((options.Normalize(), std::move(options))),
       counter_options_(counter_options),
-      cost_(options_.cost) {
-  // The counter must model the same environment the optimizer plans for
-  // (moved here from CompileTimeEstimator so every estimate path agrees).
-  counter_options_.parallel =
-      options_.num_nodes > 1 || options_.plangen.parallel;
-  counter_options_.eager_partitions = options_.plangen.eager_partitions;
-}
+      cost_(options_.cost) {}
 
 bool CompilationContext::Reset(const QueryGraph& graph) {
   const uint64_t fp = Fingerprint(graph);
@@ -140,7 +134,7 @@ PlanCounter& CompilationContext::counter() {
   if (!counter_) {
     // hotpath-ok: built once per session, then rebound in place
     counter_.emplace(graph(), interesting_orders(), simple_cardinality(),
-                     counter_options_);
+                     options_.plangen, counter_options_);
     counter_bound_ = true;
   } else if (!counter_bound_) {
     counter_->Rebind(graph(), interesting_orders(), simple_cardinality());
@@ -198,7 +192,7 @@ PlanCounter& CompilationContext::shard_counter(int w) {
         // hotpath-ok: built once per session, then rebound in place
         shard_counters_.emplace_back(graph(), interesting_orders(),
                                      shard_simple_cards_[i],
-                                     counter_options_);
+                                     options_.plangen, counter_options_);
       }
     }
     for (PlanCounter& c : shard_counters_) c.BindShard(&counter());

@@ -42,10 +42,10 @@ namespace cote {
 class CompilationContext {
  public:
   /// Adopts (and normalizes — see OptimizerOptions::Normalize) the
-  /// optimizer configuration. `counter_options` seeds the estimate-mode
-  /// counter; its parallel / eager-partition knobs are reconciled with the
-  /// optimizer options so the counter models the environment the
-  /// optimizer plans for.
+  /// optimizer configuration. The estimate-mode counter reads the
+  /// normalized plan-generation options, so it counts for exactly the
+  /// environment the optimizer plans for; `counter_options` holds only the
+  /// counter's own ablation knobs.
   explicit CompilationContext(OptimizerOptions options,
                               PlanCounterOptions counter_options = {});
 
@@ -76,9 +76,6 @@ class CompilationContext {
   void AbandonBinding();
 
   const OptimizerOptions& options() const { return options_; }
-  const PlanCounterOptions& counter_options() const {
-    return counter_options_;
-  }
 
   /// The bound query; dies if no Reset() happened yet.
   const QueryGraph& graph() const;

@@ -47,48 +47,13 @@ class ShardedPlanGeneration : public ShardedVisitor {
   }
   void MergeRank() override { memo_->AdoptShardRank(); }
 
-  // Σ over workers: the parallel run's equivalents of the serial
-  // generator's counters and timers (each is worker-private during the
-  // run, so the sums are exact, not racy snapshots).
-  JoinTypeCounts join_plans_generated() const {
-    JoinTypeCounts total;
-    for (const auto& g : gens_) total += g.join_plans_generated();
-    return total;
-  }
-  int64_t enforcer_plans() const {
-    int64_t n = 0;
-    for (const auto& g : gens_) n += g.enforcer_plans();
-    return n;
-  }
-  int64_t scan_plans() const {
-    int64_t n = 0;
-    for (const auto& g : gens_) n += g.scan_plans();
-    return n;
-  }
-  int64_t pruned_by_pilot() const {
-    int64_t n = 0;
-    for (const auto& g : gens_) n += g.pruned_by_pilot();
-    return n;
-  }
-  double gen_seconds(JoinMethod m) const {
-    double s = 0;
-    for (const auto& g : gens_) s += g.gen_time(m).TotalSeconds();
-    return s;
-  }
-  double save_seconds() const {
-    double s = 0;
-    for (const auto& g : gens_) s += g.save_time().TotalSeconds();
-    return s;
-  }
-  double init_seconds() const {
-    double s = 0;
-    for (const auto& g : gens_) s += g.init_time().TotalSeconds();
-    return s;
-  }
-  double visitor_seconds() const {
-    double s = 0;
-    for (const auto& g : gens_) s += g.visitor_seconds();
-    return s;
+  /// Folds every worker's counters and timers into `stats`, in worker
+  /// order (each is worker-private during the run, so the sums are exact,
+  /// not racy snapshots); returns the summed visitor seconds.
+  double AddStatsTo(OptimizeStats* stats) const {
+    double visitor_seconds = 0;
+    for (const auto& g : gens_) visitor_seconds += g.AddStatsTo(stats);
+    return visitor_seconds;
   }
 
  private:
@@ -300,39 +265,16 @@ StatusOr<OptimizeResult> CompilationPipeline::PlanHigh(
     return fault;
   }
 
-  // ---- Finalize: statistics. The parallel branch reads the Σ-accessors
-  // of the sharded visitor; every summed counter and timer is the exact
-  // quantity the serial generator reports (worker-private during the
-  // run), so the two branches fill identical fields the same way.
+  // ---- Finalize: statistics. One fold fills the generator's counters
+  // and timers: the serial generator's, or every worker's in worker order.
   stage.Restart();
   OptimizeStats& st = result.stats;
-  if (sharded.has_value()) {
-    st.join_plans_generated = sharded->join_plans_generated();
-    st.enforcer_plans = sharded->enforcer_plans();
-    st.scan_plans = sharded->scan_plans();
-    st.pruned_by_pilot = sharded->pruned_by_pilot();
-    for (int m = 0; m < kNumJoinMethods; ++m) {
-      st.gen_seconds[m] = sharded->gen_seconds(static_cast<JoinMethod>(m));
-    }
-    st.save_seconds = sharded->save_seconds();
-    st.init_seconds = sharded->init_seconds();
-    st.enum_seconds = std::max(0.0, run_seconds - sharded->visitor_seconds());
-    st.parallel_workers = par_workers;
-    st.enumeration_busy_seconds = busy_seconds;
-  } else {
-    st.join_plans_generated = generator.join_plans_generated();
-    st.enforcer_plans = generator.enforcer_plans();
-    st.scan_plans = generator.scan_plans();
-    st.pruned_by_pilot = generator.pruned_by_pilot();
-    for (int m = 0; m < kNumJoinMethods; ++m) {
-      st.gen_seconds[m] =
-          generator.gen_time(static_cast<JoinMethod>(m)).TotalSeconds();
-    }
-    st.save_seconds = generator.save_time().TotalSeconds();
-    st.init_seconds = generator.init_time().TotalSeconds();
-    st.enum_seconds =
-        std::max(0.0, run_seconds - generator.visitor_seconds());
-  }
+  const double visitor_seconds = sharded.has_value()
+                                     ? sharded->AddStatsTo(&st)
+                                     : generator.AddStatsTo(&st);
+  st.enum_seconds = std::max(0.0, run_seconds - visitor_seconds);
+  st.parallel_workers = par_workers;
+  st.enumeration_busy_seconds = busy_seconds;
   st.plans_stored = memo->plans_stored();
   st.memo_entries = memo->num_entries();
   st.memo_bytes = memo->ApproxMemoryBytes();

@@ -72,8 +72,7 @@ void MergeDelta(const CompilationStats& after, const CompilationStats& before,
 
 }  // namespace
 
-SessionPool::SessionPool(int num_workers, OptimizerOptions options,
-                         PlanCounterOptions counter_options) {
+SessionPool::SessionPool(int num_workers, OptimizerOptions options) {
   if (num_workers <= 0) {
     num_workers = static_cast<int>(std::thread::hardware_concurrency());
     if (num_workers <= 0) num_workers = 1;
@@ -81,7 +80,7 @@ SessionPool::SessionPool(int num_workers, OptimizerOptions options,
   sessions_.reserve(static_cast<size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w) {
     sessions_.push_back(
-        std::make_unique<CompilationSession>(options, counter_options));
+        std::make_unique<CompilationSession>(options));
   }
 }
 

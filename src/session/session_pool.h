@@ -93,8 +93,7 @@ struct BatchEstimateResult {
 class SessionPool {
  public:
   /// `num_workers <= 0` selects std::thread::hardware_concurrency().
-  explicit SessionPool(int num_workers, OptimizerOptions options = {},
-                       PlanCounterOptions counter_options = {});
+  explicit SessionPool(int num_workers, OptimizerOptions options = {});
   ~SessionPool();
 
   SessionPool(const SessionPool&) = delete;

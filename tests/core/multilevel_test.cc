@@ -93,5 +93,20 @@ TEST(MultiLevelTest, TopLevelMatchesSingleEstimator) {
             est.plan_estimates.total());
 }
 
+// The level list is checked in every build type: Estimate() enumerates at
+// the last level, so an empty list would read past the end and an unsorted
+// one would enumerate at a level that is not the widest.
+TEST(MultiLevelDeathTest, EmptyLevelListIsFatal) {
+  EXPECT_DEATH(
+      { MultiLevelEstimator ml(FlatModel(), OptimizerOptions{}, {}); },
+      "COTE_CHECK failed");
+}
+
+TEST(MultiLevelDeathTest, UnsortedLevelListIsFatal) {
+  EXPECT_DEATH(
+      { MultiLevelEstimator ml(FlatModel(), OptimizerOptions{}, {64, 2}); },
+      "COTE_CHECK failed");
+}
+
 }  // namespace
 }  // namespace cote

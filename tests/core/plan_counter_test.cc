@@ -44,10 +44,10 @@ QueryGraph Chain(const Catalog& catalog, int n, int preds_per_edge = 1,
 
 /// Runs the counter through the real enumerator.
 JoinTypeCounts Count(const QueryGraph& g, PlanCounterOptions copt = {},
-                     EnumeratorOptions eopt = {}) {
+                     EnumeratorOptions eopt = {}, PlanGenOptions plangen = {}) {
   CardinalityModel card(g, false);
   InterestingOrders interesting(g);
-  PlanCounter counter(g, interesting, card, copt);
+  PlanCounter counter(g, interesting, card, plangen, copt);
   JoinEnumerator enumerator(g, eopt);
   enumerator.Run(&counter);
   return counter.estimated_plans();
@@ -158,10 +158,10 @@ TEST(PlanCounterTest, FirstJoinOnlyPropagationCloseToFull) {
 TEST(PlanCounterTest, ParallelSeparateListsCountPartitions) {
   auto catalog = MakeCatalog();
   QueryGraph g = Chain(*catalog, 4, 1, true);
-  PlanCounterOptions par;
+  PlanGenOptions par;
   par.parallel = true;
   JoinTypeCounts serial = Count(g);
-  JoinTypeCounts parallel = Count(g, par);
+  JoinTypeCounts parallel = Count(g, {}, {}, par);
   // Parallel planning multiplies in the partition dimension.
   EXPECT_GE(parallel.total(), serial.total());
   // And tracks the actual parallel optimizer within a factor.
@@ -178,11 +178,12 @@ TEST(PlanCounterTest, CompoundModeAtLeastSeparate) {
   // thus underestimate relative to the compound representation (§3.4).
   auto catalog = MakeCatalog();
   QueryGraph g = Chain(*catalog, 4, 2, true);
+  PlanGenOptions par;
+  par.parallel = true;
   PlanCounterOptions sep;
-  sep.parallel = true;
   PlanCounterOptions comp = sep;
   comp.multi_property = MultiPropertyMode::kCompound;
-  EXPECT_GE(Count(g, comp).nljn(), Count(g, sep).nljn());
+  EXPECT_GE(Count(g, comp, {}, par).nljn(), Count(g, sep, {}, par).nljn());
 }
 
 TEST(PlanCounterTest, RespectsEnumeratorKnobs) {
@@ -203,13 +204,14 @@ TEST(PlanCounterTest, ReRunningEnumerationIsIdempotent) {
   QueryGraph g = Chain(*catalog, 5, /*preds_per_edge=*/2, /*order_by=*/true);
   for (MultiPropertyMode mode :
        {MultiPropertyMode::kSeparate, MultiPropertyMode::kCompound}) {
+    PlanGenOptions plangen;
+    plangen.parallel = true;
+    plangen.eager_partitions = true;
     PlanCounterOptions copt;
-    copt.parallel = true;
-    copt.eager_partitions = true;
     copt.multi_property = mode;
     CardinalityModel card(g, false);
     InterestingOrders interesting(g);
-    PlanCounter counter(g, interesting, card, copt);
+    PlanCounter counter(g, interesting, card, plangen, copt);
     JoinEnumerator enumerator(g, {});
     enumerator.Run(&counter);
     const int64_t slots1 = counter.TotalPlanSlots();

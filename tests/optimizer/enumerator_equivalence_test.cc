@@ -84,7 +84,7 @@ TEST_P(EnumGoldenEquivalenceTest, MatchesPreRewriteGoldens) {
 
   InterestingOrders interesting(g);
   CardinalityModel card(g, /*use_key_refinement=*/false);
-  PlanCounter counter(g, interesting, card, PlanCounterOptions{});
+  PlanCounter counter(g, interesting, card, PlanGenOptions{});
   JoinEnumerator enumerator(g, opt);
   EnumerationStats stats = enumerator.Run(&counter);
 
@@ -112,7 +112,7 @@ TEST_P(EnumGoldenEquivalenceTest, MatchesPreRewriteGoldens) {
   // (paper §3.1 / §6.2): same unordered and ordered counts, same entries.
   EnumeratorOptions td = opt;
   td.kind = EnumeratorKind::kTopDown;
-  PlanCounter td_counter(g, interesting, card, PlanCounterOptions{});
+  PlanCounter td_counter(g, interesting, card, PlanGenOptions{});
   EnumerationStats td_stats = RunEnumeration(g, td, &td_counter);
   EXPECT_EQ(td_stats.entries_created, gc.entries_created);
   EXPECT_EQ(td_stats.joins_unordered, gc.joins_unordered);

@@ -88,7 +88,7 @@ TEST_P(HotpathAllocTest, EstimateModeSteadyStateAllocatesNothing) {
 
   EnumeratorOptions opt;
   opt.max_composite_inner = 2;  // the paper's DP limit
-  PlanCounter counter(g, interesting, card, PlanCounterOptions{});
+  PlanCounter counter(g, interesting, card, PlanGenOptions{});
   JoinEnumerator enumerator(g, opt);
 
   // Warm-up: builds the MEMO index, entry states, property lists, the
@@ -140,7 +140,7 @@ TEST(HotpathAllocFullBushyTest, LinearFullBushySteadyStateAllocatesNothing) {
 
   EnumeratorOptions opt;
   opt.max_composite_inner = 64;  // full bushy search space
-  PlanCounter counter(g, interesting, card, PlanCounterOptions{});
+  PlanCounter counter(g, interesting, card, PlanGenOptions{});
   JoinEnumerator enumerator(g, opt);
 
   enumerator.Run(&counter);

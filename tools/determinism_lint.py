@@ -87,6 +87,11 @@ DET_FUNCTIONS = {
         "MemoEntry::Cheapest": (),
         "MemoEntry::CheapestSatisfying": (),
     },
+    # The shared co-location rule: its output order is the order in which
+    # plan mode creates a join's plans (and the counter lists partitions).
+    "src/optimizer/properties/join_rules.h": {
+        "JoinPartitions": (),
+    },
     "src/core/plan_counter.cc": {
         "PlanCounter::AdoptShardRank": ("merge",),
         "PlanCounter::OnJoin": (),
