@@ -161,5 +161,58 @@ TEST_F(MemoTest, OuterEnabledFlagFromGraph) {
   EXPECT_FALSE(memo.GetOrCreate(TableSet::Single(1))->outer_enabled());
 }
 
+TEST_F(MemoTest, ShardsReadParentAndAdoptInShardOrder) {
+  // Rank 1 in the parent; rank 2 split across two shards, as the
+  // rank-parallel enumerator does.
+  Memo memo(graph_);
+  ResourceBudget parent_budget, shard_budget;
+  memo.set_budget(&parent_budget);
+  for (int t = 0; t < 3; ++t) memo.GetOrCreate(TableSet::Single(t));
+  MemoEntry* t1 = memo.Find(TableSet::Single(1));
+  MakePlan(&memo, 5, OrderProperty::None());
+  memo.PrepareShards(2);
+  auto* shard0 = memo.shard(0);
+  auto* shard1 = memo.shard(1);
+  shard0->set_budget(&shard_budget);
+
+  // A lower-rank set resolves to the parent's entry.
+  bool created = true;
+  EXPECT_EQ(shard0->GetOrCreate(TableSet::Single(1), &created), t1);
+  EXPECT_FALSE(created);
+  EXPECT_EQ(shard0->Find(TableSet::Single(1)), t1);
+
+  // A new set is the shard's own current entry, returned again on repeat.
+  const TableSet s01 = TableSet::FirstN(2);
+  const TableSet s12 = TableSet::Single(1).With(2);
+  MemoEntry* e01 = shard0->GetOrCreate(s01, &created);
+  EXPECT_TRUE(created);
+  EXPECT_EQ(shard0->GetOrCreate(s01, &created), e01);
+  EXPECT_FALSE(created);
+  EXPECT_EQ(shard0->Find(s01), e01);
+  EXPECT_EQ(memo.Find(s01), nullptr);  // not adopted yet
+  MemoEntry* e12 = shard1->GetOrCreate(s12, &created);
+  EXPECT_TRUE(created);
+
+  // Shard plans charge the shard's budget, never the parent's.
+  Plan* p = shard0->NewPlan();
+  p->cost = 10;
+  EXPECT_TRUE(shard0->Insert(e01, p));
+  shard1->NewPlan();
+  EXPECT_EQ(shard_budget.plans_charged(), 1);
+  EXPECT_EQ(parent_budget.plans_charged(), 1);
+  EXPECT_EQ(memo.plans_allocated(), 1);
+
+  memo.AdoptShardRank();
+  const auto& order = memo.entries_in_order();
+  ASSERT_EQ(order.size(), 5u);
+  EXPECT_EQ(order[3], e01);
+  EXPECT_EQ(order[4], e12);
+  EXPECT_EQ(memo.Find(s01), e01);
+  EXPECT_EQ(memo.Find(s12), e12);
+  EXPECT_EQ(memo.plans_allocated(), 3);
+  ASSERT_EQ(e01->plans().size(), 1u);
+  EXPECT_EQ(e01->plans()[0], p);
+}
+
 }  // namespace
 }  // namespace cote
