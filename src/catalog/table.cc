@@ -1,8 +1,9 @@
 #include "catalog/table.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+
+#include "common/check.h"
 
 namespace cote {
 
@@ -65,7 +66,9 @@ std::vector<int> TableBuilder::Resolve(
         break;
       }
     }
-    assert(ord >= 0 && "unknown column in table builder");
+    // Checked in every build type: an unknown name would otherwise be
+    // stored as ordinal -1 and later index columns_[-1].
+    COTE_CHECK(ord >= 0 && "unknown column in table builder");
     out.push_back(ord);
   }
   return out;

@@ -24,7 +24,10 @@ namespace cote {
 class FlatSetIndex {
  public:
   /// Direct indexing caps at 2^20 slots (4 MiB of int32); beyond that the
-  /// open-addressing table is both smaller and still O(1).
+  /// open-addressing table is both smaller and still O(1). The one ceiling
+  /// of every dense per-set table: the enumerators' existence bitmaps, the
+  /// top-down memo and the rank-parallel enumerator's Gosper partitioning
+  /// all switch or gate at this value too.
   static constexpr int kDenseMaxTables = 20;
 
   explicit FlatSetIndex(int num_tables) {

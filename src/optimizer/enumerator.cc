@@ -1,128 +1,48 @@
 #include "optimizer/enumerator.h"
 
-#include <bit>
 #include <unordered_set>
 
 #include "common/check.h"
+#include "common/flat_set_index.h"
+#include "optimizer/dp_step.h"
+#include "optimizer/topdown_enumerator.h"
 
 namespace cote {
 
 namespace {
 
-constexpr double kCardOneEpsilon = 1e-9;
-
-/// Above this table count the existence bitmap (2^n bytes) stops being
-/// cheap; fall back to hashing. Enumeration itself is O(3^n), so queries
-/// past this point are outside DP range anyway.
-constexpr int kFlatExistsMaxTables = 20;
-
-/// The enumeration loop, parameterized over the subset-existence set so
-/// the n <= kFlatExistsMaxTables case runs on a flat bitmap (a lookup is
-/// one byte load) without a branch in the inner loop.
-///
-/// Behavioral invariants versus the original skip-scan implementation
-/// (guarded by the golden-equivalence tests):
-///  * masks of each size are visited in ascending numeric order — Gosper's
-///    hack produces exactly that sequence, touching C(n,k) masks instead
-///    of filtering all 2^n by popcount;
-///  * splits of a mask are visited with the set's lowest table forced into
-///    `sub`, in descending numeric order of `sub` — iterating sub' over
-///    the submasks of mask^low and OR-ing the low bit back enumerates the
-///    same sequence with half the iterations;
-///  * predicate indices are delivered in ascending order (the
-///    QueryGraph fast path sorts its per-pair gather), into one scratch
-///    vector reused across all splits.
+/// The bottom-up mask iteration, parameterized over the subset-existence
+/// set so the flat case runs on a bitmap (a lookup is one byte load)
+/// without a branch in the inner loop. Masks of each size are visited in
+/// ascending numeric order — Gosper's hack produces exactly that
+/// sequence, touching C(n,k) masks instead of filtering all 2^n by
+/// popcount; each mask's splits are dp_step.h's JoinMask. Total work
+/// stays O(3^n) split pairs.
 template <typename ExistsFn, typename InsertFn>
-EnumerationStats RunBottomUp(const QueryGraph& graph,
-                             const EnumeratorOptions& options,
-                             JoinVisitor* visitor, ExistsFn exists,
-                             InsertFn insert, std::vector<int>& preds,
-                             ResourceBudget* budget) {
-  EnumerationStats stats;
-  const int n = graph.num_tables();
-
-  // Base-table entries always exist.
-  for (int t = 0; t < n; ++t) {
-    TableSet s = TableSet::Single(t);
-    insert(s.bits());
-    visitor->InitializeEntry(s);
-    ++stats.entries_created;
-    if (budget != nullptr) budget->ChargeEntries(1);
-  }
-  if (n == 1) return stats;
+void RunBottomUp(const DpRun& run, ExistsFn exists, InsertFn insert) {
+  AddBaseEntries(run, insert);
+  const int n = run.graph.num_tables();
+  if (n == 1) return;
 
   const uint64_t all = TableSet::FirstN(n).bits();
-
-  // Bottom-up over set sizes; per size, per mask, over its submask splits.
-  // Total work stays O(3^n) split pairs — the fast path removes the
-  // per-pair constant (hash probes, allocation, predicate-list scans).
+  auto sides = [&exists](uint64_t sub, uint64_t rest) {
+    return exists(sub) && exists(rest);
+  };
   for (int size = 2; size <= n; ++size) {
     uint64_t mask = size == 64 ? ~uint64_t{0} : (uint64_t{1} << size) - 1;
     while (true) {
       // Cooperative cancellation, once per mask batch: the overshoot past
       // a tripped budget is at most one mask's worth of splits.
-      if (budget != nullptr && budget->Checkpoint()) return stats;
-      TableSet ts(mask);
-      const uint64_t low = LowestBit(mask);
-      const uint64_t rest_bits = mask ^ low;
-      bool entry_exists = false;
-
-      // Visit each unordered split once: `sub` always holds the lowest
-      // table. sub2 runs over the proper submasks of mask^low (descending,
-      // down to and including 0, excluding mask^low itself so `rest` is
-      // never empty).
-      for (uint64_t sub2 = (rest_bits - 1) & rest_bits;;
-           sub2 = (sub2 - 1) & rest_bits) {
-        const uint64_t sub = sub2 | low;
-        const uint64_t rest = rest_bits ^ sub2;
-        COTE_DCHECK_EQ(sub & rest, uint64_t{0});
-        COTE_DCHECK_EQ(sub | rest, mask);
-        if (exists(sub) && exists(rest)) {
-          TableSet s(sub), l(rest);
-          graph.ConnectingPredicates(s, l, &preds);
-          const bool cartesian = preds.empty();
-          bool allowed = true;
-          if (cartesian) {
-            allowed =
-                options.allow_all_cartesian ||
-                (options.cartesian_when_card_one &&
-                 (visitor->EntryCardinality(s) <= 1.0 + kCardOneEpsilon ||
-                  visitor->EntryCardinality(l) <= 1.0 + kCardOneEpsilon));
-          }
-          if (allowed) {
-            // Ordered emissions (outer, inner).
-            bool emitted = false;
-            auto try_emit = [&](TableSet outer, TableSet inner) {
-              if (inner.size() > options.max_composite_inner) return;
-              if (!graph.OuterEnabled(outer)) return;
-              if (!graph.OuterJoinOrientationOk(outer, inner)) return;
-              if (!emitted && !entry_exists) {
-                // First join for this entry: create it before reporting.
-                insert(mask);
-                visitor->InitializeEntry(ts);
-                ++stats.entries_created;
-                if (budget != nullptr) budget->ChargeEntries(1);
-                entry_exists = true;
-              }
-              emitted = true;
-              visitor->OnJoin(outer, inner, preds, cartesian);
-              ++stats.joins_ordered;
-            };
-            try_emit(s, l);
-            try_emit(l, s);
-            if (emitted) ++stats.joins_unordered;
-          }
-        }
-        if (sub2 == 0) break;
-      }
+      if (run.budget != nullptr && run.budget->Checkpoint()) return;
+      JoinMask(run, mask, sides, insert);
 
       // Gosper's hack: the next mask with the same popcount.
+      const uint64_t low = LowestBit(mask);
       const uint64_t carry = mask + low;
       if (carry < mask || carry > all) break;  // wrapped or size exhausted
       mask = carry | (((mask ^ carry) >> 2) / low);
     }
   }
-  return stats;
 }
 
 }  // namespace
@@ -132,23 +52,39 @@ EnumerationStats JoinEnumerator::Run(JoinVisitor* visitor,
   COTE_CHECK(visitor != nullptr);
   const int n = graph_->num_tables();
   COTE_CHECK_LE(n, 64);
-  if (n <= kFlatExistsMaxTables) {
+  EnumerationStats stats;
+  const DpRun run{*graph_, options_, visitor, budget, preds_, stats};
+  if (n <= FlatSetIndex::kDenseMaxTables) {
     // assign() reuses the buffer's capacity, so from the second run on
     // (same enumerator, same-or-smaller graph) the flat path allocates
     // nothing.
     exists_.assign(size_t{1} << n, 0);
-    return RunBottomUp(
-        *graph_, options_, visitor,
-        [this](uint64_t bits) { return exists_[bits] != 0; },
-        [this](uint64_t bits) { exists_[bits] = 1; }, preds_, budget);
+    RunBottomUp(
+        run, [this](uint64_t bits) { return exists_[bits] != 0; },
+        [this](uint64_t bits) { exists_[bits] = 1; });
+    return stats;
   }
+  // Past the dense ceiling the 2^n-byte bitmap stops being cheap; hash
+  // instead. Enumeration itself is O(3^n), so such queries are outside DP
+  // range anyway.
   // hotpath-ok: documented hashed fallback for n > 20, outside DP range
   std::unordered_set<uint64_t> exists;
-  return RunBottomUp(
-      *graph_, options_, visitor,
-      [&exists](uint64_t bits) { return exists.count(bits) != 0; },
+  RunBottomUp(
+      run, [&exists](uint64_t bits) { return exists.count(bits) != 0; },
       // hotpath-ok: hashed-fallback existence insert (n > 20 only)
-      [&exists](uint64_t bits) { exists.insert(bits); }, preds_, budget);
+      [&exists](uint64_t bits) { exists.insert(bits); });
+  return stats;
+}
+
+EnumerationStats RunEnumeration(const QueryGraph& graph,
+                                const EnumeratorOptions& options,
+                                JoinVisitor* visitor, ResourceBudget* budget) {
+  if (options.kind == EnumeratorKind::kTopDown) {
+    TopDownEnumerator enumerator(graph, options);
+    return enumerator.Run(visitor, budget);
+  }
+  JoinEnumerator enumerator(graph, options);
+  return enumerator.Run(visitor, budget);
 }
 
 }  // namespace cote

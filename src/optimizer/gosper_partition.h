@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "common/flat_set_index.h"
+
 namespace cote {
 
 /// \file
@@ -22,9 +24,10 @@ namespace cote {
 /// are precomputed up to n = kGosperPartitionMaxTables, the flat-bitmap
 /// ceiling of the enumerator; the parallel path is gated to that range.
 
-/// Largest table count the partitioner supports (matches the enumerator's
-/// flat existence-bitmap ceiling).
-inline constexpr int kGosperPartitionMaxTables = 20;
+/// Largest table count the partitioner supports: the dense per-set
+/// ceiling, below which the rank-parallel enumerator's existence bitmap
+/// is flat.
+inline constexpr int kGosperPartitionMaxTables = FlatSetIndex::kDenseMaxTables;
 
 /// Number of n-bit masks with popcount k: C(n, k). Requires
 /// 0 <= k <= n <= kGosperPartitionMaxTables.

@@ -1,6 +1,7 @@
 #include "optimizer/memo.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "optimizer/properties/join_rules.h"
@@ -46,26 +47,40 @@ MemoEntry* Memo::GetOrCreate(TableSet s, bool* created) {
   // the query's tables, or the dense index lookup is out of range.
   COTE_DCHECK(!s.empty());
   COTE_DCHECK(graph_.AllTables().ContainsAll(s));
-  bool fresh = false;
-  const int32_t idx = Index().FindOrInsert(s.bits(), &fresh);
-  if (created != nullptr) *created = fresh;
-  if (!fresh) return creation_order_[idx];
-  // A fresh index extends the arena by exactly one slot; any gap means the
-  // index and the arena have diverged.
-  COTE_CHECK_EQ(static_cast<size_t>(idx), creation_order_.size());
+  MemoEntry* existing = nullptr;
+  if (parent_ != nullptr) {
+    // Shard mode: a new entry goes to the adoption log, unindexed.
+    existing = Find(s);
+  } else {
+    bool fresh = false;
+    const int32_t idx = Index().FindOrInsert(s.bits(), &fresh);
+    if (!fresh) {
+      existing = creation_order_[idx];
+    } else {
+      // A fresh index extends the arena by exactly one slot; any gap
+      // means the index and the arena have diverged.
+      COTE_CHECK_EQ(static_cast<size_t>(idx), creation_order_.size());
+    }
+  }
+  if (created != nullptr) *created = existing == nullptr;
+  if (existing != nullptr) return existing;
   entry_arena_.emplace_back(s, graph_, &pred_scratch_);
   creation_order_.push_back(&entry_arena_.back());
-  return creation_order_[idx];
+  return creation_order_.back();
 }
 
 MemoEntry* Memo::Find(TableSet s) {
-  const int32_t idx = Index().Find(s.bits());
-  if (idx < 0) return nullptr;
-  COTE_DCHECK_LT(static_cast<size_t>(idx), creation_order_.size());
-  return creation_order_[idx];
+  return const_cast<MemoEntry*>(std::as_const(*this).Find(s));
 }
 
 const MemoEntry* Memo::Find(TableSet s) const {
+  if (parent_ != nullptr) {
+    // Shard mode: the entry being filled, else a lower-rank entry.
+    if (!creation_order_.empty() && creation_order_.back()->set() == s) {
+      return creation_order_.back();
+    }
+    return parent_->Find(s);
+  }
   const int32_t idx = Index().Find(s.bits());
   if (idx < 0) return nullptr;
   COTE_DCHECK_LT(static_cast<size_t>(idx), creation_order_.size());
@@ -80,12 +95,9 @@ Plan* Memo::NewPlan() {
 }
 
 bool Memo::Insert(MemoEntry* entry, Plan* plan) {
-  return InsertPruned(graph_.wants_first_rows(), entry, plan);
-}
-
-bool Memo::InsertPruned(bool track_pipeline, MemoEntry* entry, Plan* plan) {
   COTE_DCHECK(entry != nullptr);
   COTE_DCHECK(plan != nullptr);
+  const bool track_pipeline = graph_.wants_first_rows();
   // Dominance: q dominates p if q is no more expensive and q's properties
   // are at least as general (q's order prefix-satisfies p's, q's partition
   // satisfies p's requirement, and — for first-rows queries, where the
@@ -112,13 +124,14 @@ Memo::~Memo() = default;
 
 void Memo::PrepareShards(int count) {
   while (static_cast<int>(shards_.size()) < count) {
-    shards_.push_back(std::make_unique<MemoShard>(this));
+    shards_.push_back(std::make_unique<Memo>(graph_));
+    shards_.back()->parent_ = this;
   }
 }
 
 void Memo::AdoptShardRank() {
-  for (const std::unique_ptr<MemoShard>& shard : shards_) {
-    for (MemoEntry* e : shard->created_) {
+  for (const std::unique_ptr<Memo>& shard : shards_) {
+    for (MemoEntry* e : shard->creation_order_) {
       bool fresh = false;
       const int32_t idx = Index().FindOrInsert(e->set().bits(), &fresh);
       // Workers own disjoint mask slices and the memo is complete only up
@@ -130,55 +143,10 @@ void Memo::AdoptShardRank() {
       COTE_CHECK_EQ(static_cast<size_t>(idx), creation_order_.size());
       creation_order_.push_back(e);
     }
-    shard->created_.clear();
-    shard->current_ = nullptr;
+    shard->creation_order_.clear();
     plans_allocated_ += shard->plans_allocated_;
     shard->plans_allocated_ = 0;
   }
-}
-
-MemoEntry* MemoShard::GetOrCreate(TableSet s, bool* created) {
-  COTE_DCHECK(!s.empty());
-  if (current_ != nullptr && current_->set_.bits() == s.bits()) {
-    if (created != nullptr) *created = false;
-    return current_;
-  }
-  // Lower-rank sets were adopted by the parent at an earlier rank barrier.
-  MemoEntry* existing = parent_->Find(s);
-  if (existing != nullptr) {
-    if (created != nullptr) *created = false;
-    return existing;
-  }
-  if (created != nullptr) *created = true;
-  entry_arena_.emplace_back(s, parent_->graph_, &pred_scratch_);
-  created_.push_back(&entry_arena_.back());
-  current_ = created_.back();
-  return current_;
-}
-
-MemoEntry* MemoShard::Find(TableSet s) {
-  if (current_ != nullptr && current_->set_.bits() == s.bits()) {
-    return current_;
-  }
-  return parent_->Find(s);
-}
-
-const MemoEntry* MemoShard::Find(TableSet s) const {
-  if (current_ != nullptr && current_->set_.bits() == s.bits()) {
-    return current_;
-  }
-  return static_cast<const Memo*>(parent_)->Find(s);
-}
-
-Plan* MemoShard::NewPlan() {
-  ++plans_allocated_;
-  if (budget_ != nullptr) budget_->ChargePlans(1);
-  arena_.emplace_back();
-  return &arena_.back();
-}
-
-bool MemoShard::Insert(MemoEntry* entry, Plan* plan) {
-  return Memo::InsertPruned(parent_->graph_.wants_first_rows(), entry, plan);
 }
 
 int64_t Memo::plans_stored() const {

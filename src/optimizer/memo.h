@@ -16,8 +16,6 @@
 
 namespace cote {
 
-class MemoShard;
-
 /// \brief One MEMO entry: all non-pruned plans for a set of tables.
 ///
 /// Besides the plan list, the entry caches the *logical* properties of the
@@ -57,7 +55,6 @@ class MemoEntry {
 
  private:
   friend class Memo;
-  friend class MemoShard;
 
   TableSet set_;
   double cardinality_ = -1;
@@ -79,6 +76,9 @@ class MemoEntry {
 /// Find() on the enumeration hot path is one load; entries themselves are
 /// arena-allocated in a deque (stable pointers, no per-entry heap
 /// allocation).
+///
+/// A Memo is either a serial MEMO or, under the rank-parallel enumerator,
+/// one worker's shard of a parent MEMO (see shard()).
 class Memo {
  public:
   explicit Memo(const QueryGraph& graph) : graph_(graph) {}
@@ -122,37 +122,35 @@ class Memo {
 
   // ---- Parallel enumeration support ---------------------------------
   //
-  // During one popcount rank, each worker fills a private MemoShard: own
-  // entry/plan arenas, own budget, no shared mutable state. At the rank
-  // barrier the coordinator calls AdoptShardRank(), which splices every
-  // shard-created entry into this memo's index and creation order, in
-  // shard order. Worker slices are contiguous in ascending mask order
-  // (gosper_partition.h), so adoption in shard order replays the exact
-  // serial creation order — dense ids, entry iteration order, and plan
-  // lists all come out bit-identical to a serial run.
+  // During one popcount rank, each worker fills a private shard: a Memo
+  // in shard mode, with its own entry/plan arenas and budget and no
+  // shared mutable state. A shard resolves lower-rank sets read-only
+  // through its parent (complete up to rank k-1 at every point inside
+  // rank k, the rank barrier's invariant) and serves the one entry it is
+  // filling — the last it created; a worker only ever touches its own
+  // current mask within a rank. Its creation order is the rank's
+  // adoption log: at the rank barrier the coordinator calls
+  // AdoptShardRank(), which splices every shard-created entry into this
+  // memo's index and creation order, in shard order. Worker slices are
+  // contiguous in ascending mask order (gosper_partition.h), so adoption
+  // in shard order replays the exact serial creation order — dense ids,
+  // entry iteration order, and plan lists all come out bit-identical to a
+  // serial run.
 
   /// Creates (or tops up to) `count` shards. Shards — and everything they
   /// allocate — are owned by this memo, so merged entries and plans share
   /// the memo's lifetime.
   void PrepareShards(int count);
-  MemoShard* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  Memo* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
   /// Adopts everything the shards created since the previous adoption and
   /// folds their plans_allocated counts. Caller-side (single-threaded)
   /// half of the rank barrier.
   void AdoptShardRank();
 
  private:
-  friend class MemoShard;
-
-  /// Shared pruning-insert used by Memo::Insert and MemoShard::Insert so
-  /// the dominance rules (and hence plan-list order and tie-breaking)
-  /// cannot diverge between the serial and sharded paths.
-  static bool InsertPruned(bool track_pipeline, MemoEntry* entry, Plan* plan);
-
   /// The set index is sized from graph_.num_tables(), so it is built on
   /// first use rather than at construction (callers may construct the
-  /// Memo before the graph is final).
+  /// Memo before the graph is final). A shard never builds one.
   FlatSetIndex& Index() const;
 
   const QueryGraph& graph_;
@@ -165,52 +163,10 @@ class Memo {
   /// Optional governance; never owned, cleared by the pipeline before the
   /// memo escapes into an OptimizeResult.
   ResourceBudget* budget_ = nullptr;
-  /// Parallel-enumeration shards (empty on the serial path). unique_ptr
-  /// keeps MemoShard an incomplete type here; the destructor lives in
-  /// memo.cc where it is complete.
-  std::vector<std::unique_ptr<MemoShard>> shards_;
-};
-
-/// \brief One worker's private view of a Memo during a parallel rank.
-///
-/// Presents the same surface PlanGeneratorT needs (Find / GetOrCreate /
-/// NewPlan / Insert / set_budget), but:
-///  * lookups of lower-rank sets resolve read-only through the parent
-///    memo, which is complete up to rank k-1 at every point inside rank k
-///    (the rank barrier's invariant);
-///  * the entry currently being filled is served from a one-slot cache —
-///    a worker only ever touches its own current mask within a rank;
-///  * creations go to shard-private arenas and are logged for adoption.
-///
-/// Plans are charged to the shard's budget (the worker's private
-/// ResourceBudget), never the parent's.
-class MemoShard {
- public:
-  explicit MemoShard(Memo* parent) : parent_(parent) {}
-  MemoShard(const MemoShard&) = delete;
-  MemoShard& operator=(const MemoShard&) = delete;
-
-  MemoEntry* GetOrCreate(TableSet s, bool* created = nullptr);
-  MemoEntry* Find(TableSet s);
-  const MemoEntry* Find(TableSet s) const;
-  Plan* NewPlan();
-  bool Insert(MemoEntry* entry, Plan* plan);
-  void set_budget(ResourceBudget* budget) { budget_ = budget; }
-
- private:
-  friend class Memo;
-
-  Memo* parent_;
-  std::deque<MemoEntry> entry_arena_;
-  std::deque<Plan> arena_;
-  /// Entries created this rank, in creation (= ascending mask) order;
-  /// drained by Memo::AdoptShardRank.
-  std::vector<MemoEntry*> created_;
-  std::vector<int> pred_scratch_;
-  /// One-slot cache for the mask this worker is currently filling.
-  MemoEntry* current_ = nullptr;
-  int64_t plans_allocated_ = 0;
-  ResourceBudget* budget_ = nullptr;
+  /// Shard mode: the memo lookups fall back to (null: a serial memo).
+  const Memo* parent_ = nullptr;
+  /// Parallel-enumeration shards (empty on the serial path).
+  std::vector<std::unique_ptr<Memo>> shards_;
 };
 
 }  // namespace cote

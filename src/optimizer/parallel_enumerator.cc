@@ -2,14 +2,10 @@
 
 #include "common/check.h"
 #include "common/timer.h"
+#include "optimizer/dp_step.h"
 #include "optimizer/gosper_partition.h"
 
 namespace cote {
-
-namespace {
-// Same Cartesian-product tolerance as the serial enumerator.
-constexpr double kCardOneEpsilon = 1e-9;
-}  // namespace
 
 ParallelEnumerator::ParallelEnumerator(int workers)
     : workers_(workers), team_(workers) {
@@ -30,20 +26,20 @@ void ParallelEnumerator::RunRankSlice(int worker) {
   if (slice.count == 0) return;
   StopWatch watch;  // det-ok: busy-time instrumentation, never feeds plans
   WorkerSlot& slot = slots_[worker];
-  EnumerationStats& stats = slot.stats;
-  std::vector<int>& preds = slot.preds;
-  JoinVisitor* visitor = rank_sharded_->Shard(worker);
   ResourceBudget* budget = rank_armed_ ? &budgets_[worker] : nullptr;
-  const QueryGraph& graph = *rank_graph_;
-  const EnumeratorOptions& options = *rank_options_;
+  const DpRun run{*rank_graph_, *rank_options_, rank_sharded_->Shard(worker),
+                  budget, slot.preds, slot.stats};
+  // Lower-rank reads of the shared bitmap: complete and immutable during
+  // this rank (rank-k writes touch only rank-k bytes, each in the slice of
+  // the worker that owns its mask).
+  auto sides = [this](uint64_t sub, uint64_t rest) {
+    return exists_[sub] != 0 && exists_[rest] != 0;
+  };
+  auto insert = [this](uint64_t bits) { exists_[bits] = 1; };
 
-  // The body below is the serial RunBottomUp mask/split loop verbatim
-  // (enumerator.cc), with three parallel deltas: the mask sequence is the
-  // worker's contiguous Gosper slice instead of the whole rank, the
-  // cancel flag is polled once per mask, and charges go to the private
-  // worker budget. Everything order-sensitive — split sequence, predicate
-  // gather, emission gating — is unchanged, which is what keeps the
-  // merged result bit-identical to a serial run.
+  // The serial enumerator's mask step, over this worker's contiguous
+  // Gosper slice instead of the whole rank, with the cancel flag polled
+  // once per mask and charges going to the private worker budget.
   uint64_t mask = slice.first_mask;
   int64_t remaining = slice.count;
   while (true) {
@@ -54,57 +50,10 @@ void ParallelEnumerator::RunRankSlice(int worker) {
       cancel_.store(true, std::memory_order_relaxed);
       break;
     }
-    TableSet ts(mask);
-    const uint64_t low = LowestBit(mask);
-    const uint64_t rest_bits = mask ^ low;
-    bool entry_exists = false;
-
-    for (uint64_t sub2 = (rest_bits - 1) & rest_bits;;
-         sub2 = (sub2 - 1) & rest_bits) {
-      const uint64_t sub = sub2 | low;
-      const uint64_t rest = rest_bits ^ sub2;
-      COTE_DCHECK_EQ(sub & rest, uint64_t{0});
-      COTE_DCHECK_EQ(sub | rest, mask);
-      // Lower-rank reads of the shared bitmap: complete and immutable
-      // during this rank (rank-k writes touch only rank-k bytes).
-      if (exists_[sub] != 0 && exists_[rest] != 0) {
-        TableSet s(sub), l(rest);
-        graph.ConnectingPredicates(s, l, &preds);
-        const bool cartesian = preds.empty();
-        bool allowed = true;
-        if (cartesian) {
-          allowed =
-              options.allow_all_cartesian ||
-              (options.cartesian_when_card_one &&
-               (visitor->EntryCardinality(s) <= 1.0 + kCardOneEpsilon ||
-                visitor->EntryCardinality(l) <= 1.0 + kCardOneEpsilon));
-        }
-        if (allowed) {
-          bool emitted = false;
-          auto try_emit = [&](TableSet outer, TableSet inner) {
-            if (inner.size() > options.max_composite_inner) return;
-            if (!graph.OuterEnabled(outer)) return;
-            if (!graph.OuterJoinOrientationOk(outer, inner)) return;
-            if (!emitted && !entry_exists) {
-              exists_[mask] = 1;
-              visitor->InitializeEntry(ts);
-              ++stats.entries_created;
-              if (budget != nullptr) budget->ChargeEntries(1);
-              entry_exists = true;
-            }
-            emitted = true;
-            visitor->OnJoin(outer, inner, preds, cartesian);
-            ++stats.joins_ordered;
-          };
-          try_emit(s, l);
-          try_emit(l, s);
-          if (emitted) ++stats.joins_unordered;
-        }
-      }
-      if (sub2 == 0) break;
-    }
+    JoinMask(run, mask, sides, insert);
 
     if (--remaining == 0) break;
+    const uint64_t low = LowestBit(mask);
     const uint64_t carry = mask + low;
     mask = carry | (((mask ^ carry) >> 2) / low);
   }
@@ -162,18 +111,14 @@ ParallelEnumerationResult ParallelEnumerator::Run(
   rank_n_ = n;
 
   // ---- Rank 1: singleton entries, inline on the coordinator through
-  // shard 0 (the serial enumerator's base-table loop; no checkpoints).
+  // shard 0 (the serial enumerator's base-table step; no checkpoints).
   {
     StopWatch watch;  // det-ok: busy-time instrumentation only
-    JoinVisitor* v0 = sharded->Shard(0);
     WorkerSlot& slot0 = slots_[0];
-    for (int t = 0; t < n; ++t) {
-      TableSet s = TableSet::Single(t);
-      exists_[s.bits()] = 1;
-      v0->InitializeEntry(s);
-      ++slot0.stats.entries_created;
-      if (governed) budgets_[0].ChargeEntries(1);
-    }
+    AddBaseEntries(DpRun{graph, options, sharded->Shard(0),
+                         governed ? &budgets_[0] : nullptr, slot0.preds,
+                         slot0.stats},
+                   [this](uint64_t bits) { exists_[bits] = 1; });
     // det-ok: coordinator-only timing accumulation, not plan-visible
     slot0.busy_seconds += watch.ElapsedSeconds();
   }

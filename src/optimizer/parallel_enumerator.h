@@ -92,8 +92,8 @@ class ParallelEnumerator {
   };
 
   static void RankThunk(void* ctx, int worker);
-  /// Hot loop: one worker's slice of the current rank (the transplanted
-  /// serial mask/split loop; see enumerator.cc for the invariants).
+  /// Hot loop: one worker's slice of the current rank, each mask through
+  /// the shared DP step (dp_step.h).
   void RunRankSlice(int worker);
   /// Folds every worker budget's per-rank charge delta into `master`.
   void FoldBudgets(ResourceBudget* master);

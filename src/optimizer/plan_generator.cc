@@ -27,8 +27,7 @@ std::vector<PartitionProperty> PlanJoinPartitions(
 
 }  // namespace
 
-template <typename MemoT>
-PlanGeneratorT<MemoT>::PlanGeneratorT(const QueryGraph& graph, MemoT* memo,
+PlanGenerator::PlanGenerator(const QueryGraph& graph, Memo* memo,
                              const CostModel& cost_model,
                              const CardinalityModel& cardinality,
                              const InterestingOrders& interesting,
@@ -40,8 +39,7 @@ PlanGeneratorT<MemoT>::PlanGeneratorT(const QueryGraph& graph, MemoT* memo,
       interesting_(interesting),
       options_(options) {}
 
-template <typename MemoT>
-double PlanGeneratorT<MemoT>::AddStatsTo(OptimizeStats* stats) const {
+double PlanGenerator::AddStatsTo(OptimizeStats* stats) const {
   stats->join_plans_generated += generated_;
   stats->enforcer_plans += enforcers_;
   stats->scan_plans += scan_plans_;
@@ -54,8 +52,7 @@ double PlanGeneratorT<MemoT>::AddStatsTo(OptimizeStats* stats) const {
   return init_time_.TotalSeconds() + on_join_time_.TotalSeconds();
 }
 
-template <typename MemoT>
-bool PlanGeneratorT<MemoT>::SavePlan(MemoEntry* entry, Plan* plan) {
+bool PlanGenerator::SavePlan(MemoEntry* entry, Plan* plan) {
   if (options_.pilot_pass && plan->cost > options_.pilot_cost) {
     ++pruned_by_pilot_;
     return false;
@@ -64,8 +61,7 @@ bool PlanGeneratorT<MemoT>::SavePlan(MemoEntry* entry, Plan* plan) {
   return memo_->Insert(entry, plan);
 }
 
-template <typename MemoT>
-OrderProperty PlanGeneratorT<MemoT>::OutputOrder(const OrderProperty& order,
+OrderProperty PlanGenerator::OutputOrder(const OrderProperty& order,
                                          const MemoEntry& j) const {
   OrderProperty out;
   OrderProperty scratch;
@@ -73,15 +69,13 @@ OrderProperty PlanGeneratorT<MemoT>::OutputOrder(const OrderProperty& order,
   return out;
 }
 
-template <typename MemoT>
-double PlanGeneratorT<MemoT>::EntryCardinality(TableSet s) {
+double PlanGenerator::EntryCardinality(TableSet s) {
   MemoEntry* e = memo_->Find(s);
   if (e != nullptr) return MemoizedJoinRows(card_, s, e->mutable_cardinality());
   return card_.JoinRows(s);
 }
 
-template <typename MemoT>
-void PlanGeneratorT<MemoT>::InitializeEntry(TableSet s) {
+void PlanGenerator::InitializeEntry(TableSet s) {
   ScopedTimer timer(&init_time_);
   MemoEntry* entry = memo_->GetOrCreate(s);
   entry->set_cardinality(card_.JoinRows(s));
@@ -187,8 +181,7 @@ void PlanGeneratorT<MemoT>::InitializeEntry(TableSet s) {
   }
 }
 
-template <typename MemoT>
-const Plan* PlanGeneratorT<MemoT>::InputPlan(MemoEntry* e, const OrderProperty& order,
+const Plan* PlanGenerator::InputPlan(MemoEntry* e, const OrderProperty& order,
                                      const PartitionProperty& partition) {
   // 1. Natural plan satisfying both requirements.
   const Plan* best = e->CheapestSatisfying(order, partition);
@@ -271,13 +264,11 @@ const Plan* PlanGeneratorT<MemoT>::InputPlan(MemoEntry* e, const OrderProperty& 
   return best;
 }
 
-template <typename MemoT>
-const Plan* PlanGeneratorT<MemoT>::ReplicatedInput(MemoEntry* e) {
+const Plan* PlanGenerator::ReplicatedInput(MemoEntry* e) {
   return InputPlan(e, OrderProperty::None(), PartitionProperty::Replicated());
 }
 
-template <typename MemoT>
-void PlanGeneratorT<MemoT>::OnJoin(TableSet outer, TableSet inner,
+void PlanGenerator::OnJoin(TableSet outer, TableSet inner,
                            const std::vector<int>& pred_indices,
                            bool cartesian) {
   ScopedTimer timer(&on_join_time_);
@@ -327,8 +318,7 @@ void PlanGeneratorT<MemoT>::OnJoin(TableSet outer, TableSet inner,
   }
 }
 
-template <typename MemoT>
-const Plan* PlanGeneratorT<MemoT>::IndexProbeInner(
+const Plan* PlanGenerator::IndexProbeInner(
     const MemoEntry& l, const MemoEntry& j, const std::vector<int>& preds,
     const std::vector<ColumnRef>& jcols) const {
   if (l.set().size() != 1) return nullptr;
@@ -351,8 +341,7 @@ const Plan* PlanGeneratorT<MemoT>::IndexProbeInner(
   return nullptr;
 }
 
-template <typename MemoT>
-void PlanGeneratorT<MemoT>::GenerateNljn(MemoEntry* s, MemoEntry* l, MemoEntry* j,
+void PlanGenerator::GenerateNljn(MemoEntry* s, MemoEntry* l, MemoEntry* j,
                                  const std::vector<int>& preds) {
   std::vector<Plan*> plans;
   {
@@ -463,9 +452,9 @@ void PlanGeneratorT<MemoT>::GenerateNljn(MemoEntry* s, MemoEntry* l, MemoEntry* 
   for (Plan* p : plans) SavePlan(j, p);
 }
 
-template <typename MemoT>
-void PlanGeneratorT<MemoT>::GenerateMgjn(MemoEntry* s, MemoEntry* l, MemoEntry* j,
-                                 const std::vector<MergeCandidate>& candidates) {
+void PlanGenerator::GenerateMgjn(
+    MemoEntry* s, MemoEntry* l, MemoEntry* j,
+    const std::vector<MergeCandidate>& candidates) {
   std::vector<Plan*> plans;
   {
     ScopedTimer timer(&gen_time_[static_cast<int>(JoinMethod::kMgjn)]);
@@ -529,8 +518,7 @@ void PlanGeneratorT<MemoT>::GenerateMgjn(MemoEntry* s, MemoEntry* l, MemoEntry* 
   for (Plan* p : plans) SavePlan(j, p);
 }
 
-template <typename MemoT>
-void PlanGeneratorT<MemoT>::GenerateHsjn(MemoEntry* s, MemoEntry* l, MemoEntry* j,
+void PlanGenerator::GenerateHsjn(MemoEntry* s, MemoEntry* l, MemoEntry* j,
                                  const std::vector<int>& preds) {
   std::vector<Plan*> plans;
   {
@@ -573,11 +561,5 @@ void PlanGeneratorT<MemoT>::GenerateHsjn(MemoEntry* s, MemoEntry* l, MemoEntry* 
   }
   for (Plan* p : plans) SavePlan(j, p);
 }
-
-// The two memo flavors the pipeline drives: the serial Memo (the alias
-// PlanGenerator, codegen-identical to the pre-template class) and the
-// per-worker MemoShard of the parallel enumerator.
-template class PlanGeneratorT<Memo>;
-template class PlanGeneratorT<MemoShard>;
 
 }  // namespace cote

@@ -51,20 +51,16 @@ struct PlanGenOptions {
 /// can be attributed per join method (Figure 2) and regressed into the
 /// per-plan-type coefficients Ct (§3.5).
 ///
-/// Templated on the memo flavor so the parallel enumerator can run the
-/// *same generation code* against a per-worker MemoShard: MemoT supplies
-/// Find / GetOrCreate / NewPlan / Insert. The serial alias PlanGenerator
-/// (= PlanGeneratorT<Memo>) is what the serial pipeline instantiates —
-/// byte-for-byte the pre-template behavior. Definitions live in
-/// plan_generator.cc behind explicit instantiations for both flavors.
-template <typename MemoT>
-class PlanGeneratorT : public JoinVisitor {
+/// Under the rank-parallel enumerator each worker runs its own generator
+/// over a shard-mode Memo (Memo::shard), so serial and parallel runs
+/// generate through the same code.
+class PlanGenerator : public JoinVisitor {
  public:
-  PlanGeneratorT(const QueryGraph& graph, MemoT* memo,
-                 const CostModel& cost_model,
-                 const CardinalityModel& cardinality,
-                 const InterestingOrders& interesting,
-                 const PlanGenOptions& options);
+  PlanGenerator(const QueryGraph& graph, Memo* memo,
+                const CostModel& cost_model,
+                const CardinalityModel& cardinality,
+                const InterestingOrders& interesting,
+                const PlanGenOptions& options);
 
   // JoinVisitor interface -----------------------------------------------
   void InitializeEntry(TableSet s) override;
@@ -117,7 +113,7 @@ class PlanGeneratorT : public JoinVisitor {
                     const std::vector<int>& preds);
 
   const QueryGraph& graph_;
-  MemoT* memo_;
+  Memo* memo_;
   const CostModel& cost_;
   const CardinalityModel& card_;
   const InterestingOrders& interesting_;
@@ -133,9 +129,6 @@ class PlanGeneratorT : public JoinVisitor {
   TimeAccumulator init_time_;
   TimeAccumulator on_join_time_;
 };
-
-/// The serial plan generator every existing caller uses.
-using PlanGenerator = PlanGeneratorT<Memo>;
 
 }  // namespace cote
 

@@ -1,13 +1,10 @@
 #include "optimizer/topdown_enumerator.h"
 
 #include "common/check.h"
+#include "common/flat_set_index.h"
+#include "optimizer/dp_step.h"
 
 namespace cote {
-
-namespace {
-constexpr double kCardOneEpsilon = 1e-9;
-constexpr int kFlatExploredMaxTables = 20;
-}  // namespace
 
 bool TopDownEnumerator::Lookup(uint64_t bits, bool* constructible) const {
   COTE_DCHECK_NE(bits, uint64_t{0});
@@ -38,11 +35,10 @@ EnumerationStats TopDownEnumerator::Run(JoinVisitor* visitor,
                                         ResourceBudget* budget) {
   COTE_CHECK(visitor != nullptr);
   EnumerationStats stats;
-  budget_ = budget;
   const int n = graph_.num_tables();
   COTE_CHECK_LE(n, 64);
   explored_.clear();
-  if (n <= kFlatExploredMaxTables) {
+  if (n <= FlatSetIndex::kDenseMaxTables) {
     explored_flat_.assign(size_t{1} << n, 0);
     constructible_flat_.assign(size_t{1} << n, 0);
   } else {
@@ -52,101 +48,38 @@ EnumerationStats TopDownEnumerator::Run(JoinVisitor* visitor,
 
   // Base-table entries exist unconditionally (as in the bottom-up
   // enumerator, where they are created before any join).
-  for (int t = 0; t < n; ++t) {
-    TableSet s = TableSet::Single(t);
-    visitor->InitializeEntry(s);
-    Store(s.bits(), true);
-    ++stats.entries_created;
-    if (budget_ != nullptr) budget_->ChargeEntries(1);
-  }
-  if (n <= 1) {
-    budget_ = nullptr;
-    return stats;
-  }
-
-  Explore(graph_.AllTables(), visitor, &stats);
-  budget_ = nullptr;
+  const DpRun run{graph_, options_, visitor, budget, preds_, stats};
+  AddBaseEntries(run, [this](uint64_t bits) { Store(bits, true); });
+  if (n > 1) Explore(graph_.AllTables(), run);
   return stats;
 }
 
-bool TopDownEnumerator::Explore(TableSet s, JoinVisitor* visitor,
-                                EnumerationStats* stats) {
+bool TopDownEnumerator::Explore(TableSet s, const DpRun& run) {
   // Cooperative cancellation, once per explored subset: a tripped budget
   // reports the subset as unconstructible, which unwinds the recursion
   // without emitting further joins.
-  if (budget_ != nullptr && budget_->Checkpoint()) return false;
+  if (run.budget != nullptr && run.budget->Checkpoint()) return false;
   bool memoized;
   if (Lookup(s.bits(), &memoized)) return memoized;
   // Mark in-progress as false; splits are strictly smaller so there is no
   // true cycle, but this keeps accidental re-entry harmless.
   Store(s.bits(), false);
-
   COTE_DCHECK(s.size() >= 2);
-  const uint64_t mask = s.bits();
-  const uint64_t low = LowestBit(mask);
-  const uint64_t rest_bits = mask ^ low;
-  bool constructible = false;
 
-  // Visit each unordered split once: `a` always holds the lowest table
-  // (sub2 runs over the proper submasks of mask^low, descending — the
-  // same sequence, with half the iterations, as filtering all submasks).
-  for (uint64_t sub2 = (rest_bits - 1) & rest_bits;;
-       sub2 = (sub2 - 1) & rest_bits) {
-    if (budget_ != nullptr && budget_->tripped()) break;
-    TableSet a(sub2 | low), b(rest_bits ^ sub2);
-
-    // Explore both sides unconditionally so subset coverage matches the
-    // bottom-up enumerator even when one side is not constructible.
-    bool a_ok = Explore(a, visitor, stats);
-    bool b_ok = Explore(b, visitor, stats);
-    if (a_ok && b_ok) {
-      graph_.ConnectingPredicates(a, b, &preds_);
-      bool cartesian = preds_.empty();
-      bool allowed = true;
-      if (cartesian) {
-        allowed =
-            options_.allow_all_cartesian ||
-            (options_.cartesian_when_card_one &&
-             (visitor->EntryCardinality(a) <= 1.0 + kCardOneEpsilon ||
-              visitor->EntryCardinality(b) <= 1.0 + kCardOneEpsilon));
-      }
-      if (allowed) {
-        bool emitted = false;
-        auto try_emit = [&](TableSet outer, TableSet inner) {
-          if (inner.size() > options_.max_composite_inner) return;
-          if (!graph_.OuterEnabled(outer)) return;
-          if (!graph_.OuterJoinOrientationOk(outer, inner)) return;
-          if (!constructible) {
-            visitor->InitializeEntry(s);
-            Store(s.bits(), true);
-            ++stats->entries_created;
-            if (budget_ != nullptr) budget_->ChargeEntries(1);
-            constructible = true;
-          }
-          emitted = true;
-          visitor->OnJoin(outer, inner, preds_, cartesian);
-          ++stats->joins_ordered;
-        };
-        try_emit(a, b);
-        try_emit(b, a);
-        if (emitted) ++stats->joins_unordered;
-      }
-    }
-    if (sub2 == 0) break;
-  }
+  // Explore both sides of every split unconditionally (no short circuit)
+  // so subset coverage matches the bottom-up enumerator even when one side
+  // is not constructible; stop at the first split after a trip.
+  const bool constructible = JoinMask(
+      run, s.bits(),
+      [&](uint64_t sub, uint64_t rest) {
+        const bool sub_ok = Explore(TableSet(sub), run);
+        const bool rest_ok = Explore(TableSet(rest), run);
+        return sub_ok && rest_ok;
+      },
+      [this](uint64_t bits) { Store(bits, true); },
+      [&run] { return run.budget != nullptr && run.budget->tripped(); });
   Store(s.bits(), constructible);
   return constructible;
-}
-
-EnumerationStats RunEnumeration(const QueryGraph& graph,
-                                const EnumeratorOptions& options,
-                                JoinVisitor* visitor, ResourceBudget* budget) {
-  if (options.kind == EnumeratorKind::kTopDown) {
-    TopDownEnumerator enumerator(graph, options);
-    return enumerator.Run(visitor, budget);
-  }
-  JoinEnumerator enumerator(graph, options);
-  return enumerator.Run(visitor, budget);
 }
 
 }  // namespace cote

@@ -8,6 +8,8 @@
 
 namespace cote {
 
+struct DpRun;
+
 /// \brief Memoized top-down join enumerator (Volcano/Cascades search
 /// order).
 ///
@@ -46,7 +48,7 @@ class TopDownEnumerator {
   /// Explores subset `s`; returns whether it is constructible (a single
   /// table, or splittable into two constructible parts joined by a
   /// predicate or an admissible Cartesian product). Memoized.
-  bool Explore(TableSet s, JoinVisitor* visitor, EnumerationStats* stats);
+  bool Explore(TableSet s, const DpRun& run);
 
   /// Memoization accessors backed by flat byte arrays for small queries
   /// (one load per probe) and by the hash map beyond that.
@@ -55,9 +57,6 @@ class TopDownEnumerator {
 
   const QueryGraph& graph_;
   EnumeratorOptions options_;
-  /// Active budget for the current Run(), or null when ungoverned. Only
-  /// valid during Run(); cleared before it returns.
-  ResourceBudget* budget_ = nullptr;
   /// Flat memoization for n <= 20: explored flag and constructibility per
   /// subset mask. Empty (unused) when the query is larger.
   std::vector<uint8_t> explored_flat_;

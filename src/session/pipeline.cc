@@ -15,8 +15,8 @@ namespace cote {
 
 namespace {
 
-/// Plan-mode sharded visitor: one PlanGeneratorT<MemoShard> per worker,
-/// each generating into a private memo shard with a private
+/// Plan-mode sharded visitor: one PlanGenerator per worker, each
+/// generating into a private shard-mode Memo with a private
 /// refined-cardinality model (CardinalityModel memoizes internally
 /// without synchronization, so workers must not share one). Per-compile,
 /// like the serial PlanGenerator; the memo owns its shards, so merged
@@ -59,7 +59,7 @@ class ShardedPlanGeneration : public ShardedVisitor {
  private:
   Memo* memo_;
   std::deque<CardinalityModel> cards_;  // non-movable; deque for stability
-  std::deque<PlanGeneratorT<MemoShard>> gens_;
+  std::deque<PlanGenerator> gens_;
 };
 
 /// Estimate-mode sharded visitor over the context's session-owned shard

@@ -45,6 +45,26 @@ TEST(TableBuilderTest, IndexesAndKeys) {
   EXPECT_EQ(t.foreign_keys()[0].referenced_table, "customer");
 }
 
+// Column names are checked in every build type, so an unknown one cannot
+// be stored as ordinal -1.
+TEST(TableBuilderDeathTest, UnknownPrimaryKeyColumnIsFatal) {
+  EXPECT_DEATH(
+      {
+        TableBuilder b("t", 10);
+        b.Col("a", ColumnType::kInt).PrimaryKey({"nope"});
+      },
+      "COTE_CHECK failed");
+}
+
+TEST(TableBuilderDeathTest, UnknownIndexColumnIsFatal) {
+  EXPECT_DEATH(
+      {
+        TableBuilder b("t", 10);
+        b.Col("a", ColumnType::kInt).Idx("i", {"nope"});
+      },
+      "COTE_CHECK failed");
+}
+
 TEST(TableBuilderTest, Partitioning) {
   Table t = MakeOrders();
   EXPECT_EQ(t.partitioning().kind, PartitionKind::kHash);

@@ -2,9 +2,9 @@
 #define COTE_TESTS_COMMON_GOLDEN_SHAPES_H_
 
 /// \file
-/// The join graphs of the enumeration goldens
-/// (tests/optimizer/enumerator_equivalence_test.cc), shared by every test
-/// that must run on exactly the graphs whose outputs are pinned there.
+/// The enumeration goldens (tests/optimizer/enumerator_equivalence_test.cc
+/// and parallel_equivalence_test.cc): their 18 rows, their test names, and
+/// the join graphs whose outputs the rows pin.
 
 #include <gtest/gtest.h>
 
@@ -72,6 +72,51 @@ inline QueryGraph MakeGoldenShape(const Catalog& catalog,
   auto g = qb.Build();
   EXPECT_TRUE(g.ok());
   return std::move(g).value();
+}
+
+struct GoldenCase {
+  const char* shape;
+  int n;
+  int max_composite_inner;  // 2 = the paper's DP limit, 64 = full bushy
+  // EnumerationStats
+  int64_t entries_created;
+  int64_t joins_unordered;
+  int64_t joins_ordered;
+  // Per-join-method estimated plan counts from the counting visitor.
+  int64_t nljn;
+  int64_t mgjn;
+  int64_t hsjn;
+};
+
+// Golden values recorded from the pre-rewrite enumerator (seed commit).
+inline constexpr GoldenCase kGoldens[] = {
+    // shape, n, limit, entries, unordered, ordered, nljn, mgjn, hsjn
+    {"linear", 4, 2, 10, 10, 18, 58, 18, 18},
+    {"linear", 8, 2, 36, 74, 98, 310, 98, 98},
+    {"linear", 12, 2, 78, 202, 242, 754, 242, 242},
+    {"linear", 14, 2, 105, 290, 338, 1048, 338, 338},
+    {"linear", 10, 64, 55, 165, 330, 1026, 330, 330},
+    {"star", 4, 2, 11, 12, 21, 65, 21, 21},
+    {"star", 8, 2, 135, 448, 497, 1977, 497, 497},
+    {"star", 12, 2, 2059, 11264, 11385, 48957, 11385, 11385},
+    {"star", 14, 2, 8205, 53248, 53417, 234591, 53417, 53417},
+    {"star", 10, 64, 521, 2304, 4608, 14720, 4608, 4608},
+    {"cyclic", 5, 2, 21, 40, 60, 218, 70, 60},
+    {"cyclic", 8, 2, 93, 351, 400, 1786, 501, 400},
+    {"cyclic", 10, 2, 191, 857, 914, 4654, 1116, 914},
+    {"cyclic", 8, 64, 93, 400, 800, 3168, 1074, 800},
+    {"random", 8, 2, 90, 331, 386, 2128, 666, 386},
+    {"random", 12, 2, 838, 5337, 5465, 32167, 8212, 5465},
+    {"random", 14, 2, 3102, 24688, 24905, 174695, 41425, 24905},
+    {"random", 10, 64, 345, 2592, 5184, 26700, 9818, 5184},
+};
+
+/// The ctest name of a golden row: shape, table count and inner limit.
+inline std::string GoldenCaseName(
+    const ::testing::TestParamInfo<GoldenCase>& info) {
+  return std::string(info.param.shape) + "_n" +
+         std::to_string(info.param.n) + "_ci" +
+         std::to_string(info.param.max_composite_inner);
 }
 
 }  // namespace cote

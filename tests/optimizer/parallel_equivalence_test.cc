@@ -4,10 +4,10 @@
 // must be *behaviorally invisible* at every worker count: identical
 // EnumerationStats, identical per-join-method counts in estimate mode,
 // and — in plan mode — a bit-identical MEMO (entry creation order, plan
-// lists, costs) and best plan. The goldens are the same 18 cases
+// lists, costs) and best plan. The goldens are the 18 cases
 // enumerator_equivalence_test.cc pins against the pre-rewrite serial
-// enumerator (kept in sync by hand; regenerate there); the serial run is
-// additionally used as a direct oracle for plan mode, which has no
+// enumerator (one table, in tests/common/golden_shapes.h); the serial run
+// is additionally used as a direct oracle for plan mode, which has no
 // golden table.
 
 #include <gtest/gtest.h>
@@ -26,40 +26,6 @@
 
 namespace cote {
 namespace {
-
-struct GoldenCase {
-  const char* shape;
-  int n;
-  int max_composite_inner;
-  int64_t entries_created;
-  int64_t joins_unordered;
-  int64_t joins_ordered;
-  int64_t nljn;
-  int64_t mgjn;
-  int64_t hsjn;
-};
-
-// The 18 cases of enumerator_equivalence_test.cc (same values).
-const GoldenCase kGoldens[] = {
-    {"linear", 4, 2, 10, 10, 18, 58, 18, 18},
-    {"linear", 8, 2, 36, 74, 98, 310, 98, 98},
-    {"linear", 12, 2, 78, 202, 242, 754, 242, 242},
-    {"linear", 14, 2, 105, 290, 338, 1048, 338, 338},
-    {"linear", 10, 64, 55, 165, 330, 1026, 330, 330},
-    {"star", 4, 2, 11, 12, 21, 65, 21, 21},
-    {"star", 8, 2, 135, 448, 497, 1977, 497, 497},
-    {"star", 12, 2, 2059, 11264, 11385, 48957, 11385, 11385},
-    {"star", 14, 2, 8205, 53248, 53417, 234591, 53417, 53417},
-    {"star", 10, 64, 521, 2304, 4608, 14720, 4608, 4608},
-    {"cyclic", 5, 2, 21, 40, 60, 218, 70, 60},
-    {"cyclic", 8, 2, 93, 351, 400, 1786, 501, 400},
-    {"cyclic", 10, 2, 191, 857, 914, 4654, 1116, 914},
-    {"cyclic", 8, 64, 93, 400, 800, 3168, 1074, 800},
-    {"random", 8, 2, 90, 331, 386, 2128, 666, 386},
-    {"random", 12, 2, 838, 5337, 5465, 32167, 8212, 5465},
-    {"random", 14, 2, 3102, 24688, 24905, 174695, 41425, 24905},
-    {"random", 10, 64, 345, 2592, 5184, 26700, 9818, 5184},
-};
 
 const int kWorkerCounts[] = {1, 2, 4, 8};
 
@@ -172,13 +138,8 @@ TEST_P(ParallelGoldenEquivalenceTest, PlanModeBitIdenticalToSerial) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Goldens, ParallelGoldenEquivalenceTest, ::testing::ValuesIn(kGoldens),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      return std::string(info.param.shape) + "_n" +
-             std::to_string(info.param.n) + "_ci" +
-             std::to_string(info.param.max_composite_inner);
-    });
+INSTANTIATE_TEST_SUITE_P(Goldens, ParallelGoldenEquivalenceTest,
+                         ::testing::ValuesIn(kGoldens), GoldenCaseName);
 
 }  // namespace
 }  // namespace cote

@@ -81,11 +81,16 @@ DET_FUNCTIONS = {
     },
     "src/optimizer/memo.cc": {
         "Memo::Insert": (),
-        "Memo::InsertPruned": (),
         "Memo::AdoptShardRank": ("merge",),
-        "MemoShard::Insert": (),
         "MemoEntry::Cheapest": (),
         "MemoEntry::CheapestSatisfying": (),
+    },
+    # The split rule and the per-mask step every enumerator runs: their
+    # order is the order of InitializeEntry and OnJoin calls, hence of
+    # dense ids and plan lists.
+    "src/optimizer/dp_step.h": {
+        "JoinSplit": (),
+        "JoinMask": (),
     },
     # The shared co-location rule: its output order is the order in which
     # plan mode creates a join's plans (and the counter lists partitions).
@@ -441,10 +446,10 @@ def selftest_fixtures(fixtures_dir):
 def selftest_stale_manifest(tmp):
     """The shared stale-entry discipline (hotpath_lint regression).
 
-    The historical hole: with unqualified names, deleting one of two
-    same-named member functions (Memo::Find vs MemoShard::Find) kept the
-    lint green because the survivor still matched. Qualified manifest
-    names must catch exactly that.
+    The hole: with unqualified names, deleting one of two same-named
+    member functions (A::F vs B::F in the fixture below) keeps the lint
+    green because the survivor still matches. Qualified manifest names
+    must catch exactly that.
     """
     failures = []
     twin = tmp / "twin.cc"

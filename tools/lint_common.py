@@ -19,10 +19,10 @@ annotation handling so the two lints cannot drift apart.
 
 Manifest names may be qualified (`Memo::Find`) or unqualified (`Find`).
 A qualified name matches only the definition of that class's member —
-this is the stale-entry fix: an unqualified `Find` in a file defining
-both `Memo::Find` and `MemoShard::Find` kept "passing" after one twin
-was deleted, because the other still matched. Qualified entries track
-each definition individually.
+this is the stale-entry fix: an unqualified `F` in a file defining both
+`A::F` and `B::F` keeps "passing" after one twin is deleted, because the
+other still matches (tools/determinism_lint.py --selftest plants exactly
+that file). Qualified entries track each definition individually.
 """
 
 import re
