@@ -75,7 +75,10 @@ inline QueryGraph MakeGoldenShape(const Catalog& catalog,
 }
 
 struct GoldenCase {
-  const char* shape;
+  // Held inline, not as a pointer: gtest names each golden test after the
+  // bytes of its row, and a pointer's bytes are an address that differs
+  // from build to build, while these are the same on every build.
+  char shape[8];
   int n;
   int max_composite_inner;  // 2 = the paper's DP limit, 64 = full bushy
   // EnumerationStats
