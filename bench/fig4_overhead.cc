@@ -7,8 +7,14 @@
 //
 // The paper's result: estimation costs 1-3% of actual compilation in the
 // serial version, even less in the parallel version.
+//
+// Usage: fig4_overhead [--histogram-buckets N]. N sets
+// CostParams::histogram_buckets, the cost model's simulated per-plan work
+// (default 128; 0 switches it off), for every optimize the figure times.
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "bench/bench_util.h"
 
@@ -47,12 +53,25 @@ void RunOne(const std::string& title, const Workload& w,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  int buckets = CostParams().histogram_buckets;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--histogram-buckets") == 0 && i + 1 < argc) {
+      buckets = std::atoi(argv[++i]);
+    } else {
+      std::fprintf(stderr, "usage: %s [--histogram-buckets N]\n", argv[0]);
+      return 2;
+    }
+  }
+  auto with_buckets = [buckets](OptimizerOptions options) {
+    options.cost.histogram_buckets = buckets;
+    return options;
+  };
   RunOne("Figure 4(a): estimation overhead — linear_s (serial)",
-         LinearWorkload(), SerialOptions());
+         LinearWorkload(), with_buckets(SerialOptions()));
   RunOne("Figure 4(b): estimation overhead — real2_s (serial)",
-         Real2Workload(), SerialOptions());
+         Real2Workload(), with_buckets(SerialOptions()));
   RunOne("Figure 4(c): estimation overhead — real1_p (parallel, 4 nodes)",
-         Real1Workload(), ParallelOptions());
+         Real1Workload(), with_buckets(ParallelOptions()));
   return 0;
 }
