@@ -16,7 +16,9 @@ PlanCounter::PlanCounter(const QueryGraph& graph,
       interesting_(&interesting),
       card_(&cardinality),
       plangen_(plangen),
-      options_(options) {}
+      options_(options) {
+  ids_.Build(graph);
+}
 
 void PlanCounter::Rebind(const QueryGraph& graph,
                          const InterestingOrders& interesting,
@@ -24,6 +26,7 @@ void PlanCounter::Rebind(const QueryGraph& graph,
   graph_ = &graph;
   interesting_ = &interesting;
   card_ = &cardinality;
+  ids_.Build(graph);
   estimated_ = JoinTypeCounts{};
   // Recycle the arena: clear the live prefix in place (capacity retained)
   // and re-key the set index for the new table count. Slots past
@@ -130,12 +133,26 @@ void PlanCounter::AdoptShardRank(PlanCounter* shard) {
   shard->estimated_ = JoinTypeCounts{};
 }
 
+namespace {
+
+/// Appends `v` unless the list already holds it: every list push dedupes,
+/// which keeps re-running enumeration over the same counter idempotent.
+template <typename List, typename Value>
+void PushUnique(List* list, const Value& v) {
+  if (std::find(list->begin(), list->end(), v) == list->end()) {
+    list->push_back(v);
+  }
+}
+
+}  // namespace
+
 void PlanCounter::InitializeEntry(TableSet s) {
   EntryState& state = State(s);
-  // Logical properties, computed once per entry (equivalence is needed to
-  // canonicalize and dedupe property values — §3.3: "equivalence needs to
-  // be checked for each enumerated join").
-  AddEntryEquivalences(*graph_, s, &pred_scratch_, &state.equiv);
+  // Logical properties, computed once per entry: the equivalence needed to
+  // canonicalize and dedupe property values (§3.3: "equivalence needs to
+  // be checked for each enumerated join") and the interests active here.
+  state.equiv.Build(Ids(), *graph_, s, &pred_scratch_);
+  state.equiv.BuildInterests(*interesting_, s);
   state.cardinality = card_->JoinRows(s);
   if (s.size() > 1) return;
 
@@ -144,33 +161,20 @@ void PlanCounter::InitializeEntry(TableSet s) {
   //
   // Orders use the eager policy (§4 item 1): the precomputed interesting
   // orders applicable to this table seed the list.
-  interesting_->ActiveInterests(s, &active_scratch_);
-  for (const OrderInterest* interest : active_scratch_) {
-    interest->order.CanonicalizeInto(state.equiv, &canon_order_scratch_);
-    const OrderProperty& o = canon_order_scratch_;
-    if (o.IsNone()) continue;
-    if (std::find(state.orders.begin(), state.orders.end(), o) ==
-        state.orders.end()) {
-      state.orders.push_back(o);
-    }
+  for (const CanonicalInterest& interest : state.equiv.interests()) {
+    if (!interest.order.IsNone()) PushUnique(&state.orders, interest.order);
   }
 
   // Natural orders delivered by index scans also live in the MEMO when
   // they remain useful (an index order subsuming an interesting order is
   // the source of coverage plans); the eager initialization includes them.
-  const Table* base_table = graph_->table_ref(s.First()).table;
-  for (const Index& idx : base_table->indexes()) {
-    cols_scratch_.clear();
-    for (int ord : idx.key_columns) cols_scratch_.emplace_back(s.First(), ord);
-    raw_order_scratch_.Assign(cols_scratch_);
-    if (!RetainOrder(raw_order_scratch_, s, state.equiv, *interesting_,
-                     &interest_scratch_, &canon_order_scratch_)) {
-      continue;
-    }
-    const OrderProperty& o = canon_order_scratch_;
-    if (std::find(state.orders.begin(), state.orders.end(), o) ==
-        state.orders.end()) {
-      state.orders.push_back(o);
+  const int t = s.First();
+  for (const Index& idx : graph_->table_ref(t).table->indexes()) {
+    OrderProperty index_order;
+    for (int ord : idx.key_columns) index_order.Append(ColumnRef(t, ord));
+    OrderProperty canon;
+    if (RetainOrder(index_order, state.equiv, &canon)) {
+      PushUnique(&state.orders, canon);
     }
   }
 
@@ -180,11 +184,7 @@ void PlanCounter::InitializeEntry(TableSet s) {
   // counter stays idempotent (the un-guarded push was a latent bug: a
   // second run would duplicate every base-table partition value).
   if (plangen_.parallel) {
-    BasePartition(*graph_, s.First(), &cols_scratch_, &hash_scratch_);
-    if (std::find(state.partitions.begin(), state.partitions.end(),
-                  hash_scratch_) == state.partitions.end()) {
-      state.partitions.push_back(hash_scratch_);
-    }
+    PushUnique(&state.partitions, BasePartition(*graph_, t));
   }
 
   // Eager partition policy: every join column of the table seeds a hash
@@ -192,68 +192,41 @@ void PlanCounter::InitializeEntry(TableSet s) {
   // already satisfies (all of them, on a replicated table), the counter
   // seeds every target.
   if (plangen_.parallel && plangen_.eager_partitions) {
-    const int t = s.First();
     for (const JoinPredicate& pred : graph_->join_predicates()) {
-      ColumnRef side = pred.SideIn(t);
+      const ColumnRef side = pred.SideIn(t);
       if (!side.valid()) continue;
-      cols_scratch_.assign(1, side);
-      hash_scratch_.AssignHash(cols_scratch_);
-      hash_scratch_.CanonicalizeInto(state.equiv, &part_scratch_);
-      const PartitionProperty& target = part_scratch_;
-      if (std::find(state.partitions.begin(), state.partitions.end(),
-                    target) == state.partitions.end()) {
-        state.partitions.push_back(target);
-      }
+      PushUnique(&state.partitions,
+                 PartitionProperty::Hash({side}).Canonicalize(state.equiv));
     }
   }
 
   if (options_.multi_property == MultiPropertyMode::kCompound) {
-    // Every pair shares the base partition; copy-assigning into the
-    // scratch pair keeps its buffers.
-    const PartitionProperty serial;
-    compound_scratch_.second = plangen_.parallel && !state.partitions.empty()
-                                   ? state.partitions[0]
-                                   : serial;
+    // Every pair shares the base partition.
+    const PartitionProperty& base = plangen_.parallel &&
+                                            !state.partitions.empty()
+                                        ? state.partitions[0]
+                                        : PartitionProperty::Serial();
     // Deduped for the same idempotence reason as the partition seeding.
-    auto seed = [this, &state](const OrderProperty& o) {
-      compound_scratch_.first = o;
-      if (std::find(state.compound.begin(), state.compound.end(),
-                    compound_scratch_) == state.compound.end()) {
-        state.compound.push_back(compound_scratch_);
-      }
-    };
-    seed(OrderProperty::None());
-    for (const OrderProperty& o : state.orders) seed(o);
+    PushUnique(&state.compound, std::make_pair(OrderProperty::None(), base));
+    for (const OrderProperty& o : state.orders) {
+      PushUnique(&state.compound, std::make_pair(o, base));
+    }
   }
 }
 
-void PlanCounter::PropagateOrders(const EntryState& from, TableSet j,
-                                  EntryState* to) {
+void PlanCounter::PropagateOrders(const EntryState& from, EntryState* to) {
   for (const OrderProperty& o : from.orders) {
-    // Retired by the join, or not interesting above `j`?
-    if (!RetainOrder(o, j, to->equiv, *interesting_, &interest_scratch_,
-                     &canon_order_scratch_)) {
-      continue;
-    }
-    const OrderProperty& canon = canon_order_scratch_;
-    // Equivalent to a property already in the list?
-    if (std::find(to->orders.begin(), to->orders.end(), canon) !=
-        to->orders.end()) {
-      continue;
-    }
-    to->orders.push_back(canon);
+    // Retired by the join, or not interesting above `to`? Otherwise keep
+    // it unless an equivalent property is already in the list.
+    OrderProperty canon;
+    if (RetainOrder(o, to->equiv, &canon)) PushUnique(&to->orders, canon);
   }
 }
 
 void PlanCounter::PropagatePartitions(const EntryState& from,
                                       EntryState* to) {
   for (const PartitionProperty& p : from.partitions) {
-    p.CanonicalizeInto(to->equiv, &part_scratch_);
-    const PartitionProperty& canon = part_scratch_;
-    if (std::find(to->partitions.begin(), to->partitions.end(), canon) ==
-        to->partitions.end()) {
-      to->partitions.push_back(canon);
-    }
+    PushUnique(&to->partitions, p.Canonicalize(to->equiv));
   }
 }
 
@@ -291,24 +264,20 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
     }
   }
   if (may_propagate) {
-    PropagateOrders(s, jset, &j);
-    PropagateOrders(l, jset, &j);
+    PropagateOrders(s, &j);
+    PropagateOrders(l, &j);
     if (plangen_.parallel) {
       PropagatePartitions(s, &j);
       PropagatePartitions(l, &j);
     }
     if (options_.multi_property == MultiPropertyMode::kCompound) {
-      auto& [canon_o, canon_p] = compound_scratch_;
       for (const EntryState* e : {&s, &l}) {
         for (const auto& [o, pt] : e->compound) {
-          // A retired component collapses to DC (buffer kept).
-          RetainOrder(o, jset, j.equiv, *interesting_, &interest_scratch_,
-                      &canon_o);
-          pt.CanonicalizeInto(j.equiv, &canon_p);
-          if (std::find(j.compound.begin(), j.compound.end(),
-                        compound_scratch_) == j.compound.end()) {
-            j.compound.push_back(compound_scratch_);
-          }
+          // A retired component collapses to DC.
+          std::pair<OrderProperty, PartitionProperty> canon;
+          RetainOrder(o, j.equiv, &canon.first);
+          canon.second = pt.Canonicalize(j.equiv);
+          PushUnique(&j.compound, canon);
         }
       }
     }
@@ -325,13 +294,10 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
           fn(p);
         }
       },
-      jcols_, j.equiv, &part_scratch_, &jparts_);
+      jcols_, j.equiv, &jparts_);
   if (fresh_target) {
     // The new partition value becomes interesting for the joined entry.
-    if (std::find(j.partitions.begin(), j.partitions.end(), jparts_[0]) ==
-        j.partitions.end()) {
-      j.partitions.push_back(jparts_[0]);
-    }
+    PushUnique(&j.partitions, jparts_[0]);
   }
 
   // NLJN: full order propagation — one plan per outer interesting-order
@@ -344,16 +310,12 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
       plangen_.parallel) {
     // Distinct order components among the compound pairs (None included
     // via retired-order pairs) — compound values pair each with the same
-    // partition alternatives. distinct_orders_ is per-call scratch; a
-    // local vector here would allocate once per enumerated join.
+    // partition alternatives.
     distinct_orders_.clear();
     distinct_orders_.push_back(OrderProperty::None());
     for (const auto& [o, pt] : s.compound) {
       (void)pt;
-      if (std::find(distinct_orders_.begin(), distinct_orders_.end(), o) ==
-          distinct_orders_.end()) {
-        distinct_orders_.push_back(o);
-      }
+      PushUnique(&distinct_orders_, o);
     }
     outer_orders = static_cast<int64_t>(distinct_orders_.size()) - 1;
   } else {
@@ -377,7 +339,7 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
   if (inl_variant == 1 && plangen_.parallel) {
     bool colocated = false;
     for (const PartitionProperty& p : l.partitions) {
-      colocated |= ProbeColocated(p, jcols_, j.equiv, &part_scratch_);
+      colocated |= ProbeColocated(p, jcols_, j.equiv);
     }
     if (!colocated) inl_variant = 0;
   }
@@ -396,57 +358,38 @@ void PlanCounter::OnJoin(TableSet outer, TableSet inner,
   // predicates) is never counted, the whole of the star_s MGJN
   // underestimate in Figure 5.
   //
-  // Canonicalize each input order once (deduped); listp_/listc_ hold
-  // indices into canon_inputs_, so dedupe is index identity and the
-  // OrderProperty values are never copied again. canon_inputs_ is
-  // size-tracked scratch: slots persist across calls (clear() would free
-  // each element's column buffer), CanonicalizeInto rewrites them in
-  // place, and num_canon bounds the live prefix.
-  int num_canon = 0;
+  // Both lists hold distinct j-canonical values of the inputs' orders:
+  // listp_ those made of join columns only, listc_ the others that lead
+  // with a join column — the only ones that can subsume a listp_ member,
+  // so |listp ∪ listc| is |listp_| plus the listc_ values subsuming one.
+  // An order whose canonical first column is not a join column is in
+  // neither list, and is not canonicalized at all.
+  listp_.clear();
+  listc_.clear();
   for (const EntryState* e : {&s, &l}) {
     for (const OrderProperty& o : e->orders) {
-      if (num_canon == static_cast<int>(canon_inputs_.size())) {
-        canon_inputs_.emplace_back();
+      if (o.IsNone() || !jcols_.Contains(j.equiv.Find(o.columns()[0]))) {
+        continue;
       }
-      OrderProperty& slot = canon_inputs_[num_canon];
-      o.CanonicalizeInto(j.equiv, &slot);
-      bool dup = false;
-      for (int i = 0; i < num_canon; ++i) {
-        if (canon_inputs_[i] == slot) {
-          dup = true;
+      const OrderProperty canon = o.Canonicalize(j.equiv);
+      // Propagatable by MGJN: every column of the order is a join column.
+      bool all_join_cols = true;
+      for (const ColumnRef& c : canon.columns()) {
+        if (!jcols_.Contains(c)) {
+          all_join_cols = false;
           break;
         }
       }
-      if (!dup) ++num_canon;
+      PushUnique(all_join_cols ? &listp_ : &listc_, canon);
     }
   }
-  listp_.clear();
-  for (int i = 0; i < num_canon; ++i) {
-    const OrderProperty& canon = canon_inputs_[i];
-    // Propagatable by MGJN: every column of the order is a join column.
-    bool all_join_cols = !canon.IsNone();
-    for (const ColumnRef& c : canon.columns()) {
-      if (std::find(jcols_.begin(), jcols_.end(), c) == jcols_.end()) {
-        all_join_cols = false;
-        break;
-      }
-    }
-    if (all_join_cols) listp_.push_back(i);
-  }
-  listc_.clear();
-  for (int i = 0; i < num_canon; ++i) {
-    for (int p : listp_) {
-      if (canon_inputs_[p].StrictlySubsumedBy(canon_inputs_[i])) {
-        listc_.push_back(i);
-        break;
-      }
-    }
-  }
-  // |listp ∪ listc| — both are index sets into the deduped inputs.
   int64_t merge_variants = static_cast<int64_t>(listp_.size());
-  for (int i : listc_) {
-    if (std::find(listp_.begin(), listp_.end(), i) == listp_.end()) {
-      ++merge_variants;
+  for (const OrderProperty& c : listc_) {
+    for (const OrderProperty& p : listp_) {
+      if (p.StrictlySubsumedBy(c)) {
+        ++merge_variants;
+        break;
+      }
     }
   }
   AddPlans(JoinMethod::kMgjn,

@@ -6,13 +6,15 @@
 #include <vector>
 
 #include "common/flat_set_index.h"
-#include "common/slot_vector.h"
 #include "optimizer/cost/cardinality.h"
 #include "optimizer/enumerator.h"
 #include "optimizer/plan_generator.h"
+#include "optimizer/properties/entry_equivalence.h"
 #include "optimizer/properties/interesting_orders.h"
+#include "optimizer/properties/order_property.h"
 #include "optimizer/properties/partition_property.h"
 #include "optimizer/stats.h"
+#include "query/column_ids.h"
 #include "query/query_graph.h"
 
 namespace cote {
@@ -127,17 +129,18 @@ class PlanCounter : public JoinVisitor {
   /// warm reruns exact.
   void AdoptShardRank(PlanCounter* shard);
 
-  /// Property-list state of one MEMO entry. The lists are SlotVectors:
-  /// clearing one keeps its OrderProperty / PartitionProperty slots (and
-  /// their column buffers) for the next query bound to this arena slot.
+  /// Property-list state of one MEMO entry. Property values are inline,
+  /// so clearing a list keeps its capacity for the next query bound to
+  /// this arena slot.
   struct EntryState {
-    ColumnEquivalence equiv;
+    /// The entry's equivalence and canonical active interests.
+    EntryEquivalence equiv;
     double cardinality = -1;
-    SlotVector<OrderProperty> orders;
-    SlotVector<PartitionProperty> partitions;
+    std::vector<OrderProperty> orders;
+    std::vector<PartitionProperty> partitions;
     /// kCompound mode only: (order, partition) vectors; order may be None
     /// when that component has retired.
-    SlotVector<std::pair<OrderProperty, PartitionProperty>> compound;
+    std::vector<std::pair<OrderProperty, PartitionProperty>> compound;
     // First-join-only bookkeeping (§4 item 4): the first unordered split
     // reaching this entry is the one allowed to propagate properties.
     bool propagated = false;
@@ -145,10 +148,9 @@ class PlanCounter : public JoinVisitor {
     uint64_t first_inner_bits = 0;
 
     /// Returns the state to its just-constructed condition while keeping
-    /// every property slot and the equivalence's storage, so a recycled
-    /// arena slot rebuilds without re-growing.
+    /// every list's storage (the equivalence keeps its own until the next
+    /// Build), so a recycled arena slot rebuilds without re-growing.
     void Clear() {
-      equiv.Clear();
       cardinality = -1;
       orders.clear();
       partitions.clear();
@@ -178,8 +180,14 @@ class PlanCounter : public JoinVisitor {
   /// entry being filled): the parent's merged state in shard mode, the
   /// local state otherwise.
   const EntryState& InputState(TableSet s);
-  void PropagateOrders(const EntryState& from, TableSet j, EntryState* to);
+  void PropagateOrders(const EntryState& from, EntryState* to);
   void PropagatePartitions(const EntryState& from, EntryState* to);
+
+  /// The column ids entry equivalences are indexed by: this counter's,
+  /// or in shard mode the parent's (built before the parallel run).
+  const ColumnIds& Ids() const {
+    return parent_ != nullptr ? parent_->ids_ : ids_;
+  }
 
   // Pointers (never null) rather than references so Rebind can retarget
   // the counter; the constructor still takes references.
@@ -188,6 +196,8 @@ class PlanCounter : public JoinVisitor {
   const CardinalityModel* card_;
   PlanGenOptions plangen_;
   PlanCounterOptions options_;
+  /// Rebuilt for each bound query (storage kept).
+  ColumnIds ids_;
 
   JoinTypeCounts estimated_;
   /// Optional governance: non-null while an estimate run is governed.
@@ -211,29 +221,19 @@ class PlanCounter : public JoinVisitor {
   std::deque<EntryState> states_;
   size_t live_states_ = 0;
   std::vector<int> pred_scratch_;
-  // OnJoin scratch (cleared per call, capacity retained): the counting
-  // loop runs once per enumerated join, so freshly allocating these
-  // buffers dominated estimate-mode profiles on large star queries.
-  // listp_/listc_ hold indices into canon_inputs_, which is deduped, so
-  // index identity doubles as value identity.
-  std::vector<ColumnRef> jcols_;
-  SlotVector<PartitionProperty> jparts_;
-  std::vector<OrderProperty> canon_inputs_;
+  // OnJoin's value lists (cleared per call, capacity retained): the
+  // counting loop runs once per enumerated join, so freshly allocating
+  // them dominated estimate-mode profiles on large star queries. Values
+  // are inline, so with these a steady-state run (every entry and property
+  // value already seen) touches no heap at all — the invariant
+  // tests/optimizer/hotpath_alloc_test.cc locks in. jcols_ is a member
+  // too: a join of two chain segments can have more canonical join
+  // columns than a ColumnList holds inline, and its spill buffer is kept.
+  ColumnList jcols_;
+  std::vector<PartitionProperty> jparts_;
   std::vector<OrderProperty> distinct_orders_;
-  std::vector<int> listp_;
-  std::vector<int> listc_;
-  // Property-canonicalization scratch: CanonicalizeInto / the scratch
-  // Useful overload rewrite these in place, so a steady-state run (every
-  // entry and property value already seen) touches no heap at all —
-  // the invariant tests/optimizer/hotpath_alloc_test.cc locks in.
-  std::vector<const OrderInterest*> active_scratch_;
-  std::vector<ColumnRef> cols_scratch_;
-  OrderProperty raw_order_scratch_;
-  OrderProperty canon_order_scratch_;
-  OrderProperty interest_scratch_;
-  PartitionProperty part_scratch_;
-  PartitionProperty hash_scratch_;
-  std::pair<OrderProperty, PartitionProperty> compound_scratch_;
+  std::vector<OrderProperty> listp_;
+  std::vector<OrderProperty> listc_;
 };
 
 }  // namespace cote

@@ -4,16 +4,15 @@
 #include <utility>
 
 #include "common/check.h"
-#include "optimizer/properties/join_rules.h"
 
 namespace cote {
 
 MemoEntry::MemoEntry(TableSet set, const QueryGraph& graph,
-                     std::vector<int>* pred_scratch)
+                     const ColumnIds& ids, std::vector<int>* pred_scratch)
     : set_(set), outer_enabled_(graph.OuterEnabled(set)) {
   // Logical properties computed once per entry: outer-eligibility, and the
   // column equivalence of the inner predicates applied inside the set.
-  AddEntryEquivalences(graph, set, pred_scratch, &equiv_);
+  equiv_.Build(ids, graph, set, pred_scratch);
 }
 
 const Plan* MemoEntry::Cheapest() const {
@@ -42,6 +41,13 @@ FlatSetIndex& Memo::Index() const {
   return *index_;
 }
 
+const ColumnIds& Memo::Ids() const {
+  if (parent_ != nullptr) return parent_->Ids();
+  // hotpath-ok: built once per query, then read-only
+  if (!ids_.has_value()) ids_.emplace().Build(graph_);
+  return *ids_;
+}
+
 MemoEntry* Memo::GetOrCreate(TableSet s, bool* created) {
   // Trust boundary of the flat MEMO: the set must be a non-empty subset of
   // the query's tables, or the dense index lookup is out of range.
@@ -64,7 +70,7 @@ MemoEntry* Memo::GetOrCreate(TableSet s, bool* created) {
   }
   if (created != nullptr) *created = existing == nullptr;
   if (existing != nullptr) return existing;
-  entry_arena_.emplace_back(s, graph_, &pred_scratch_);
+  entry_arena_.emplace_back(s, graph_, Ids(), &pred_scratch_);
   creation_order_.push_back(&entry_arena_.back());
   return creation_order_.back();
 }
@@ -123,6 +129,7 @@ bool Memo::Insert(MemoEntry* entry, Plan* plan) {
 Memo::~Memo() = default;
 
 void Memo::PrepareShards(int count) {
+  Ids();  // built here, before the workers read it through their shards
   while (static_cast<int>(shards_.size()) < count) {
     shards_.push_back(std::make_unique<Memo>(graph_));
     shards_.back()->parent_ = this;
@@ -162,10 +169,10 @@ int64_t Memo::ApproxMemoryBytes() const {
   for (const MemoEntry* e : creation_order_) {
     bytes += static_cast<int64_t>(sizeof(MemoEntry));
     for (const Plan* p : e->plans()) {
-      bytes += static_cast<int64_t>(
-          sizeof(Plan) +
-          p->order.columns().size() * sizeof(ColumnRef) +
-          p->partition.columns().size() * sizeof(ColumnRef));
+      // A plan holds its property columns inline unless a value spilled.
+      bytes += static_cast<int64_t>(sizeof(Plan) +
+                                    p->order.columns().heap_bytes() +
+                                    p->partition.columns().heap_bytes());
     }
   }
   return bytes;

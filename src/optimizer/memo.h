@@ -11,7 +11,9 @@
 #include "common/table_set.h"
 #include "common/timer.h"
 #include "optimizer/plan/plan.h"
-#include "query/equivalence.h"
+#include "optimizer/properties/entry_equivalence.h"
+#include "optimizer/properties/interesting_orders.h"
+#include "query/column_ids.h"
 #include "query/query_graph.h"
 
 namespace cote {
@@ -19,19 +21,26 @@ namespace cote {
 /// \brief One MEMO entry: all non-pruned plans for a set of tables.
 ///
 /// Besides the plan list, the entry caches the *logical* properties of the
-/// expression: output cardinality and the column-equivalence relation
-/// induced by the predicates applied inside the set (computed once per
-/// entry — the paper's "property caching", §3.2).
+/// expression: output cardinality, the column-equivalence relation induced
+/// by the predicates applied inside the set, and the interesting orders
+/// active there (computed once per entry — the paper's "property caching",
+/// §3.2).
 class MemoEntry {
  public:
   /// Arena-construction path (used by Memo through the deque allocator,
-  /// hence public): `pred_scratch` is a reusable buffer for the
-  /// internal-predicate gather.
-  MemoEntry(TableSet set, const QueryGraph& graph,
+  /// hence public): `ids` is the memo's column-id table and `pred_scratch`
+  /// a reusable buffer for the internal-predicate gather.
+  MemoEntry(TableSet set, const QueryGraph& graph, const ColumnIds& ids,
             std::vector<int>* pred_scratch);
 
   TableSet set() const { return set_; }
-  const ColumnEquivalence& equivalence() const { return equiv_; }
+  const EntryEquivalence& equivalence() const { return equiv_; }
+  /// Caches the interests of `interesting` active in this entry, canonical
+  /// in its equivalence (the plan generator does this as it initializes
+  /// the entry).
+  void BuildInterests(const InterestingOrders& interesting) {
+    equiv_.BuildInterests(interesting, set_);
+  }
 
   bool outer_enabled() const { return outer_enabled_; }
 
@@ -59,7 +68,7 @@ class MemoEntry {
   TableSet set_;
   double cardinality_ = -1;
   bool outer_enabled_ = true;
-  ColumnEquivalence equiv_;
+  EntryEquivalence equiv_;
   std::vector<const Plan*> plans_;
 };
 
@@ -152,9 +161,14 @@ class Memo {
   /// first use rather than at construction (callers may construct the
   /// Memo before the graph is final). A shard never builds one.
   FlatSetIndex& Index() const;
+  /// The column ids every entry's equivalence is indexed by: built on
+  /// first use like the index; a shard reads its parent's, which
+  /// PrepareShards builds before any worker runs.
+  const ColumnIds& Ids() const;
 
   const QueryGraph& graph_;
   mutable std::optional<FlatSetIndex> index_;
+  mutable std::optional<ColumnIds> ids_;
   std::deque<MemoEntry> entry_arena_;
   std::vector<MemoEntry*> creation_order_;
   std::deque<Plan> arena_;

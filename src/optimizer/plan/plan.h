@@ -58,26 +58,27 @@ inline OpType OpOfJoinMethod(JoinMethod m) {
 /// Plans are immutable once inserted into the MEMO and owned by the Memo's
 /// arena; children are plain pointers into the same arena. `order` and
 /// `partition` are canonicalized with respect to the owning MEMO entry's
-/// column equivalence.
+/// column equivalence, and hold their columns inline (ColumnList), so a
+/// plan owns no heap memory unless a property value spills.
 struct Plan {
   OpType op = OpType::kTableScan;
+  /// Index ordinal within the base table, for kIndexScan.
+  int index_id = -1;
   TableSet tables;
   double rows = 0;
   double cost = 0;
   OrderProperty order;
   PartitionProperty partition;
-  /// Single input of unary operators; outer (left) input of joins.
-  const Plan* child = nullptr;
-  /// Inner (right) input of joins; null for unary operators.
-  const Plan* inner = nullptr;
-  /// Index ordinal within the base table, for kIndexScan.
-  int index_id = -1;
   /// Pipelinable property (paper Table 1): true when no operator below
   /// requires full materialization (no SORT, no hash-join build, no
   /// hash aggregation). Interesting for first-n-rows queries, which can
   /// stop a pipelinable plan early. Tracked as a Pareto dimension only
   /// when the query asks for first rows.
   bool pipelinable = true;
+  /// Single input of unary operators; outer (left) input of joins.
+  const Plan* child = nullptr;
+  /// Inner (right) input of joins; null for unary operators.
+  const Plan* inner = nullptr;
 
   bool IsJoin() const { return IsJoinOp(op); }
 

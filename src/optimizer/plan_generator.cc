@@ -13,15 +13,14 @@ namespace {
 /// offers the partition of every plan it holds, in plan-list order.
 std::vector<PartitionProperty> PlanJoinPartitions(
     bool parallel, const MemoEntry& s, const MemoEntry& l,
-    const std::vector<ColumnRef>& jcols, const MemoEntry& j) {
+    std::span<const ColumnRef> jcols, const MemoEntry& j) {
   std::vector<PartitionProperty> out;
-  PartitionProperty scratch;
   JoinPartitions(
       parallel,
       [&s, &l](int side, const auto& fn) {
         for (const Plan* p : (side == 0 ? s : l).plans()) fn(p->partition);
       },
-      jcols, j.equivalence(), &scratch, &out);
+      jcols, j.equivalence(), &out);
   return out;
 }
 
@@ -64,8 +63,7 @@ bool PlanGenerator::SavePlan(MemoEntry* entry, Plan* plan) {
 OrderProperty PlanGenerator::OutputOrder(const OrderProperty& order,
                                          const MemoEntry& j) const {
   OrderProperty out;
-  OrderProperty scratch;
-  RetainOrder(order, j.set(), j.equivalence(), interesting_, &scratch, &out);
+  RetainOrder(order, j.equivalence(), &out);
   return out;
 }
 
@@ -78,6 +76,7 @@ double PlanGenerator::EntryCardinality(TableSet s) {
 void PlanGenerator::InitializeEntry(TableSet s) {
   ScopedTimer timer(&init_time_);
   MemoEntry* entry = memo_->GetOrCreate(s);
+  entry->BuildInterests(interesting_);
   entry->set_cardinality(card_.JoinRows(s));
   if (s.size() > 1) return;
 
@@ -86,11 +85,9 @@ void PlanGenerator::InitializeEntry(TableSet s) {
   const Table* table = graph_.table_ref(t).table;
   const double rows = entry->cardinality();
 
-  PartitionProperty base_part = PartitionProperty::Serial();
-  if (options_.parallel) {
-    std::vector<ColumnRef> cols;
-    BasePartition(graph_, t, &cols, &base_part);
-  }
+  const PartitionProperty base_part = options_.parallel
+                                          ? BasePartition(graph_, t)
+                                          : PartitionProperty::Serial();
 
   Plan* scan = memo_->NewPlan();
   scan->op = OpType::kTableScan;
@@ -104,13 +101,13 @@ void PlanGenerator::InitializeEntry(TableSet s) {
 
   for (size_t i = 0; i < table->indexes().size(); ++i) {
     const Index& idx = table->indexes()[i];
-    std::vector<ColumnRef> key_cols;
-    for (int ord : idx.key_columns) key_cols.emplace_back(t, ord);
+    OrderProperty key_order;
+    for (int ord : idx.key_columns) key_order.Append(ColumnRef(t, ord));
     // Selectivity of local predicates matching the leading key column.
     double match_sel = 1.0;
     for (const LocalPredicate& p : graph_.local_predicates()) {
-      if (p.column.table == t && !key_cols.empty() &&
-          p.column == key_cols[0]) {
+      if (p.column.table == t && !key_order.IsNone() &&
+          p.column == key_order.columns()[0]) {
         match_sel *= p.selectivity;
       }
     }
@@ -119,7 +116,7 @@ void PlanGenerator::InitializeEntry(TableSet s) {
     iscan->tables = s;
     iscan->rows = rows;
     iscan->cost = cost_.IndexScan(*table, idx, match_sel, rows);
-    iscan->order = OutputOrder(OrderProperty(key_cols), *entry);
+    iscan->order = OutputOrder(key_order, *entry);
     iscan->partition = base_part;
     iscan->index_id = static_cast<int>(i);
     ++scan_plans_;
@@ -159,8 +156,8 @@ void PlanGenerator::InitializeEntry(TableSet s) {
     // Eager order policy: force every interesting order applicable to this
     // table into existence with a SORT enforcer (§4 item 1).
     const Plan* cheapest = entry->Cheapest();
-    for (const OrderInterest* interest : interesting_.ActiveInterests(s)) {
-      OrderProperty o = interest->order.Canonicalize(entry->equivalence());
+    for (const CanonicalInterest& interest : entry->equivalence().interests()) {
+      const OrderProperty& o = interest.order;
       if (o.IsNone()) continue;
       if (entry->CheapestSatisfying(o, PartitionProperty::Serial()) !=
           nullptr) {
@@ -284,31 +281,30 @@ void PlanGenerator::OnJoin(TableSet outer, TableSet inner,
   // merge order (transitive-closure predicates often alias each other).
   std::vector<MergeCandidate> candidates;
   std::vector<OrderProperty> seen_orders;
-  std::vector<ColumnRef> all_outer_cols, all_inner_cols;
-  auto add_candidate = [&](MergeCandidate cand) {
-    OrderProperty canon =
-        OrderProperty(cand.outer_cols).Canonicalize(j->equivalence());
+  MergeCandidate all_cols;
+  auto add_candidate = [&](const MergeCandidate& cand) {
+    OrderProperty canon = cand.outer_cols.Canonicalize(j->equivalence());
     if (std::find(seen_orders.begin(), seen_orders.end(), canon) !=
         seen_orders.end()) {
       return;
     }
-    seen_orders.push_back(std::move(canon));
-    candidates.push_back(std::move(cand));
+    seen_orders.push_back(canon);
+    candidates.push_back(cand);
   };
   for (int pi : pred_indices) {
     const JoinPredicate& p = graph_.join_predicates()[pi];
     ColumnRef oc = outer.Contains(p.left.table) ? p.left : p.right;
     ColumnRef ic = outer.Contains(p.left.table) ? p.right : p.left;
     add_candidate(MergeCandidate{{oc}, {ic}});
-    all_outer_cols.push_back(oc);
-    all_inner_cols.push_back(ic);
+    all_cols.outer_cols.Append(oc);
+    all_cols.inner_cols.Append(ic);
   }
   // The composite candidate: one merge on all the join columns at once.
   // Table 3's listp ∪ listc has no counterpart (the counter never counts
   // it), so every star_s MGJN miss in Figure 5 is an underestimate of
   // exactly one plan per ordered join with >= 2 predicates.
   if (pred_indices.size() >= 2) {
-    add_candidate(MergeCandidate{all_outer_cols, all_inner_cols});
+    add_candidate(all_cols);
   }
 
   GenerateNljn(s, l, j, pred_indices);
@@ -320,7 +316,7 @@ void PlanGenerator::OnJoin(TableSet outer, TableSet inner,
 
 const Plan* PlanGenerator::IndexProbeInner(
     const MemoEntry& l, const MemoEntry& j, const std::vector<int>& preds,
-    const std::vector<ColumnRef>& jcols) const {
+    std::span<const ColumnRef> jcols) const {
   if (l.set().size() != 1) return nullptr;
   const int t = l.set().First();
   const Table* table = graph_.table_ref(t).table;
@@ -332,10 +328,8 @@ const Plan* PlanGenerator::IndexProbeInner(
     // Probing a distributed inner requires co-location or a local copy.
     // The generator asks it of the plan it probes; the counter, which has
     // no plans, of the inner's whole partition list.
-    PartitionProperty scratch;
-    const bool colocated =
-        !options_.parallel ||
-        ProbeColocated(p->partition, jcols, j.equivalence(), &scratch);
+    const bool colocated = !options_.parallel ||
+                           ProbeColocated(p->partition, jcols, j.equivalence());
     return colocated ? p : nullptr;
   }
   return nullptr;
@@ -346,7 +340,7 @@ void PlanGenerator::GenerateNljn(MemoEntry* s, MemoEntry* l, MemoEntry* j,
   std::vector<Plan*> plans;
   {
     ScopedTimer timer(&gen_time_[static_cast<int>(JoinMethod::kNljn)]);
-    std::vector<ColumnRef> jcols;
+    ColumnList jcols;
     CanonicalJoinColumns(graph_, preds, j->equivalence(), &jcols);
     const double out_rows = j->cardinality();
 
@@ -414,7 +408,7 @@ void PlanGenerator::GenerateNljn(MemoEntry* s, MemoEntry* l, MemoEntry* j,
       const JoinPredicate& p0 = graph_.join_predicates()[preds[0]];
       ColumnRef ic = l->set().Contains(p0.left.table) ? p0.left : p0.right;
       const Plan* pi2 = l->CheapestSatisfying(
-          OrderProperty({ic}).Canonicalize(l->equivalence()),
+          OrderProperty{ic}.Canonicalize(l->equivalence()),
           PartitionProperty::Serial());
       if (pi2 != nullptr) make(po, pi2, out_part);  // duplicate on purpose
     };
@@ -461,16 +455,13 @@ void PlanGenerator::GenerateMgjn(
     const double out_rows = j->cardinality();
 
     for (const MergeCandidate& cand : candidates) {
-      OrderProperty outer_req =
-          OrderProperty(cand.outer_cols).Canonicalize(s->equivalence());
-      OrderProperty inner_req =
-          OrderProperty(cand.inner_cols).Canonicalize(l->equivalence());
-      OrderProperty base_out =
-          OrderProperty(cand.outer_cols).Canonicalize(j->equivalence());
+      OrderProperty outer_req = cand.outer_cols.Canonicalize(s->equivalence());
+      OrderProperty inner_req = cand.inner_cols.Canonicalize(l->equivalence());
+      OrderProperty base_out = cand.outer_cols.Canonicalize(j->equivalence());
 
       // The co-location rule runs per merge candidate, on that candidate's
       // columns; the counter runs it once per join, on all join columns.
-      const std::vector<ColumnRef>& jcols = base_out.columns();
+      const ColumnList& jcols = base_out.columns();
 
       // Output order candidates: the merge order itself, plus coverage —
       // outer orders that subsume it also come out sorted (§3.3), which is
@@ -523,7 +514,7 @@ void PlanGenerator::GenerateHsjn(MemoEntry* s, MemoEntry* l, MemoEntry* j,
   std::vector<Plan*> plans;
   {
     ScopedTimer timer(&gen_time_[static_cast<int>(JoinMethod::kHsjn)]);
-    std::vector<ColumnRef> jcols;
+    ColumnList jcols;
     CanonicalJoinColumns(graph_, preds, j->equivalence(), &jcols);
     const double out_rows = j->cardinality();
 

@@ -2,6 +2,7 @@
 #define COTE_OPTIMIZER_PLAN_GENERATOR_H_
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/timer.h"
@@ -74,9 +75,10 @@ class PlanGenerator : public JoinVisitor {
   double AddStatsTo(OptimizeStats* stats) const;
 
  private:
+  /// One merge join's columns, oriented per side.
   struct MergeCandidate {
-    std::vector<ColumnRef> outer_cols;
-    std::vector<ColumnRef> inner_cols;
+    OrderProperty outer_cols;
+    OrderProperty inner_cols;
   };
 
   /// Inserts with optional pilot-pass pruning; times as plan saving.
@@ -106,7 +108,7 @@ class PlanGenerator : public JoinVisitor {
   /// co-located on `jcols` or replicated), or nullptr.
   const Plan* IndexProbeInner(const MemoEntry& l, const MemoEntry& j,
                               const std::vector<int>& preds,
-                              const std::vector<ColumnRef>& jcols) const;
+                              std::span<const ColumnRef> jcols) const;
   void GenerateMgjn(MemoEntry* s, MemoEntry* l, MemoEntry* j,
                     const std::vector<MergeCandidate>& candidates);
   void GenerateHsjn(MemoEntry* s, MemoEntry* l, MemoEntry* j,

@@ -31,11 +31,8 @@ void InterestingOrders::Add(const std::vector<ColumnRef>& cols,
       return;
     }
   }
-  candidate_.order.Assign(cols);
-  candidate_.source = source;
-  candidate_.pred_index = pred_index;
-  candidate_.tables = TablesOf(cols);
-  interests_.push_back(candidate_);
+  interests_.push_back(
+      OrderInterest{OrderProperty(cols), source, pred_index, TablesOf(cols)});
 }
 
 void InterestingOrders::Rebind(const QueryGraph& graph) {
@@ -123,42 +120,6 @@ bool InterestingOrders::ActiveFor(const OrderInterest& i, TableSet s) const {
     if (s.Contains(p.left.table) && s.Contains(p.right.table)) return false;
   }
   return true;
-}
-
-std::vector<const OrderInterest*> InterestingOrders::ActiveInterests(
-    TableSet s) const {
-  std::vector<const OrderInterest*> out;
-  ActiveInterests(s, &out);
-  return out;
-}
-
-void InterestingOrders::ActiveInterests(
-    TableSet s, std::vector<const OrderInterest*>* out) const {
-  out->clear();
-  for (const OrderInterest& i : interests_) {
-    if (ActiveFor(i, s)) out->push_back(&i);
-  }
-}
-
-bool InterestingOrders::Useful(const OrderProperty& order, TableSet s,
-                               const ColumnEquivalence& equiv) const {
-  OrderProperty canon_scratch;
-  return Useful(order, s, equiv, &canon_scratch);
-}
-
-bool InterestingOrders::Useful(const OrderProperty& order, TableSet s,
-                               const ColumnEquivalence& equiv,
-                               OrderProperty* canon_scratch) const {
-  if (order.IsNone()) return false;
-  for (const OrderInterest& i : interests_) {
-    if (!ActiveFor(i, s)) continue;
-    i.order.CanonicalizeInto(equiv, canon_scratch);
-    bool satisfied = (i.source == OrderSource::kGroupBy)
-                         ? order.SatisfiesSet(*canon_scratch)
-                         : order.SatisfiesPrefix(*canon_scratch);
-    if (satisfied) return true;
-  }
-  return false;
 }
 
 }  // namespace cote

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "common/slot_vector.h"
 #include "common/table_set.h"
 #include "optimizer/properties/order_property.h"
 #include "query/query_graph.h"
@@ -44,43 +43,25 @@ struct OrderInterest {
 /// Retirement: a kJoin interest retires inside a MEMO entry that contains
 /// both tables of its predicate (the join has been applied; the order can
 /// no longer help a future merge join). kGroupBy/kOrderBy interests never
-/// retire — they are consumed above the join tree.
+/// retire — they are consumed above the join tree. Each MEMO entry caches
+/// the interests active in it, canonical in its equivalence
+/// (EntryEquivalence), and answers the "is this order still useful" test
+/// from that cache.
 class InterestingOrders {
  public:
   explicit InterestingOrders(const QueryGraph& graph);
 
   /// Re-derives the interests for another query in place. The interest
   /// list and the derivation scratch keep their storage, so a session
-  /// rebinding to a same-or-smaller query allocates nothing.
+  /// rebinding to a same-or-smaller query allocates nothing (while every
+  /// interest fits a ColumnList inline).
   void Rebind(const QueryGraph& graph);
 
-  const SlotVector<OrderInterest>& interests() const { return interests_; }
+  const std::vector<OrderInterest>& interests() const { return interests_; }
 
   /// True if interest `i` is applicable to entry `s` (all its columns are
   /// available) and still interesting above `s` (not retired).
   bool ActiveFor(const OrderInterest& i, TableSet s) const;
-
-  /// The interests active for entry `s`.
-  std::vector<const OrderInterest*> ActiveInterests(TableSet s) const;
-
-  /// Allocation-free variant: fills `*out` (cleared first), reusing its
-  /// capacity. For per-entry calls on the estimate-mode hot path.
-  void ActiveInterests(TableSet s,
-                       std::vector<const OrderInterest*>* out) const;
-
-  /// True if a plan ordered by (canonical) `order` is worth keeping in the
-  /// MEMO entry `s`: the order satisfies at least one active interest,
-  /// under that interest's coverage semantics. Orders useless for every
-  /// remaining operation are "retired" and collapse to DC.
-  bool Useful(const OrderProperty& order, TableSet s,
-              const ColumnEquivalence& equiv) const;
-
-  /// Allocation-free variant: canonicalizes each candidate interest into
-  /// `*canon_scratch` (which must not alias `order`) instead of a fresh
-  /// temporary. For per-join calls on the estimate-mode hot path.
-  bool Useful(const OrderProperty& order, TableSet s,
-              const ColumnEquivalence& equiv,
-              OrderProperty* canon_scratch) const;
 
  private:
   /// Appends the interest (cols, source, pred_index) unless it is empty or
@@ -90,9 +71,8 @@ class InterestingOrders {
 
   // Pointer (never null) rather than reference so Rebind can retarget.
   const QueryGraph* graph_;
-  SlotVector<OrderInterest> interests_;
+  std::vector<OrderInterest> interests_;
   // Derivation scratch (capacity retained across rebinds).
-  OrderInterest candidate_;
   std::vector<ColumnRef> cols_scratch_;
   std::vector<ColumnRef> cols_scratch2_;
   /// (lower table, higher table, predicate index) per join predicate.

@@ -2,58 +2,38 @@
 
 namespace cote {
 
-void AddEntryEquivalences(const QueryGraph& graph, TableSet s,
-                          std::vector<int>* pred_scratch,
-                          ColumnEquivalence* equiv) {
-  // The internal-predicate gather walks only the set's own edges, in
-  // ascending predicate order.
-  graph.InternalPredicates(s, pred_scratch);
-  for (int pi : *pred_scratch) {
-    const JoinPredicate& p = graph.join_predicates()[pi];
-    if (p.kind != JoinKind::kInner) continue;
-    equiv->AddEquivalence(p.left, p.right);
-  }
-}
-
 void CanonicalJoinColumns(const QueryGraph& graph,
                           const std::vector<int>& preds,
-                          const ColumnEquivalence& j,
-                          std::vector<ColumnRef>* out) {
+                          const EntryEquivalence& j, ColumnList* out) {
   out->clear();
   for (int pi : preds) {
-    ColumnRef rep = j.Find(graph.join_predicates()[pi].left);
-    if (std::find(out->begin(), out->end(), rep) == out->end()) {
-      out->push_back(rep);
-    }
+    const ColumnRef rep = j.Find(graph.join_predicates()[pi].left);
+    if (!out->Contains(rep)) out->Append(rep);
   }
 }
 
-bool RetainOrder(const OrderProperty& order, TableSet j_set,
-                 const ColumnEquivalence& j_equiv,
-                 const InterestingOrders& interesting,
-                 OrderProperty* interest_scratch, OrderProperty* out) {
-  order.CanonicalizeInto(j_equiv, out);
+bool RetainOrder(const OrderProperty& order, const EntryEquivalence& j,
+                 OrderProperty* out) {
+  *out = order.Canonicalize(j);
   // Useful() is false for DC, so a None input stays None.
-  if (interesting.Useful(*out, j_set, j_equiv, interest_scratch)) return true;
-  out->Assign({});  // retired: collapses to DC (buffer kept)
+  if (j.Useful(*out)) return true;
+  *out = OrderProperty::None();  // retired: collapses to DC
   return false;
 }
 
-void BasePartition(const QueryGraph& graph, int t,
-                   std::vector<ColumnRef>* cols_scratch,
-                   PartitionProperty* out) {
+PartitionProperty BasePartition(const QueryGraph& graph, int t) {
   const PartitioningSpec& spec = graph.table_ref(t).table->partitioning();
-  if (spec.kind == PartitionKind::kHash) {
-    cols_scratch->clear();
-    for (int ord : spec.key_columns) cols_scratch->emplace_back(t, ord);
-    out->AssignHash(*cols_scratch);
-    return;
+  switch (spec.kind) {
+    case PartitionKind::kHash: {
+      ColumnList cols;
+      for (int ord : spec.key_columns) cols.Append(ColumnRef(t, ord));
+      return PartitionProperty::Hash(cols);
+    }
+    case PartitionKind::kReplicated:
+      return PartitionProperty::Replicated();
+    default:
+      return PartitionProperty::SingleNode();
   }
-  // Copy-assigned from a named value, not moved: `out` keeps its buffer.
-  const PartitionProperty other = spec.kind == PartitionKind::kReplicated
-                                      ? PartitionProperty::Replicated()
-                                      : PartitionProperty::SingleNode();
-  *out = other;
 }
 
 bool IndexLeadsJoin(const QueryGraph& graph, int t, const Index& idx,
@@ -67,11 +47,10 @@ bool IndexLeadsJoin(const QueryGraph& graph, int t, const Index& idx,
 }
 
 bool ProbeColocated(const PartitionProperty& p,
-                    const std::vector<ColumnRef>& jcols,
-                    const ColumnEquivalence& j, PartitionProperty* scratch) {
+                    std::span<const ColumnRef> jcols,
+                    const EntryEquivalence& j) {
   if (p.kind() == PartitionProperty::Kind::kReplicated) return true;
-  p.CanonicalizeInto(j, scratch);
-  return scratch->KeysSubsetOf(jcols);
+  return p.Canonicalize(j).KeysSubsetOf(jcols);
 }
 
 }  // namespace cote

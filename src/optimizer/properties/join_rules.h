@@ -2,14 +2,14 @@
 #define COTE_OPTIMIZER_PROPERTIES_JOIN_RULES_H_
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "catalog/table.h"
-#include "common/table_set.h"
-#include "optimizer/properties/interesting_orders.h"
+#include "optimizer/properties/column_list.h"
+#include "optimizer/properties/entry_equivalence.h"
 #include "optimizer/properties/order_property.h"
 #include "optimizer/properties/partition_property.h"
-#include "query/equivalence.h"
 #include "query/query_graph.h"
 
 namespace cote {
@@ -18,36 +18,26 @@ namespace cote {
 /// The per-join rules that decide a join's physical alternatives, defined
 /// once: the plan generator applies them to a MEMO entry's plans, the plan
 /// counter to an entry's property lists, so the two modes agree by
-/// construction (§3.1). None allocates except through the caller's scratch
-/// and output buffers, and none makes a virtual call.
-
-/// Entry equivalence (§3.2): adds to `*equiv` the equivalences of the inner
-/// join predicates applied inside `s`, gathered into `pred_scratch`.
-void AddEntryEquivalences(const QueryGraph& graph, TableSet s,
-                          std::vector<int>* pred_scratch,
-                          ColumnEquivalence* equiv);
+/// construction (§3.1). Both read an entry's equivalence and active
+/// interests from its EntryEquivalence. Property values are inline, so none
+/// allocates except through the caller's output lists (and for a value past
+/// ColumnList::kInline columns), and none makes a virtual call.
 
 /// The J-canonical representatives of the join columns of `preds`, deduped,
 /// in predicate order. Fills `*out` (cleared first).
 void CanonicalJoinColumns(const QueryGraph& graph,
                           const std::vector<int>& preds,
-                          const ColumnEquivalence& j,
-                          std::vector<ColumnRef>* out);
+                          const EntryEquivalence& j, ColumnList* out);
 
-/// Table 2's order retirement: writes `order`, canonical in entry `j`
-/// (table set `j_set`, equivalence `j_equiv`), to `*out`, collapsed to DC
-/// (None) once no interesting order active above `j` needs it. Returns
-/// whether the order survives. `interest_scratch` must not alias `out`.
-bool RetainOrder(const OrderProperty& order, TableSet j_set,
-                 const ColumnEquivalence& j_equiv,
-                 const InterestingOrders& interesting,
-                 OrderProperty* interest_scratch, OrderProperty* out);
+/// Table 2's order retirement: writes `order`, canonical in entry `j`, to
+/// `*out`, collapsed to DC (None) once no interesting order active in `j`
+/// needs it (EntryEquivalence::Useful). Returns whether the order survives.
+bool RetainOrder(const OrderProperty& order, const EntryEquivalence& j,
+                 OrderProperty* out);
 
 /// The partition the catalog gives base table `t` in parallel mode: hash,
-/// replicated or single-node. Writes `*out`, keeping its key buffer.
-void BasePartition(const QueryGraph& graph, int t,
-                   std::vector<ColumnRef>* cols_scratch,
-                   PartitionProperty* out);
+/// replicated or single-node.
+PartitionProperty BasePartition(const QueryGraph& graph, int t);
 
 /// §4's co-location rule: fills `*out` (cleared first) with the output
 /// partitions of a join on `jcols` (canonical in `j`). Serial mode has only
@@ -59,9 +49,8 @@ void BasePartition(const QueryGraph& graph, int t,
 /// offers. Returns true exactly when the fresh target was introduced.
 template <typename InputPartitions, typename PartitionList>
 bool JoinPartitions(bool parallel, const InputPartitions& for_each_input,
-                    const std::vector<ColumnRef>& jcols,
-                    const ColumnEquivalence& j, PartitionProperty* scratch,
-                    PartitionList* out) {
+                    std::span<const ColumnRef> jcols,
+                    const EntryEquivalence& j, PartitionList* out) {
   out->clear();
   if (!parallel) {
     out->push_back(PartitionProperty::Serial());
@@ -75,8 +64,8 @@ bool JoinPartitions(bool parallel, const InputPartitions& for_each_input,
   bool single_node[2] = {false, false};
   for (int side = 0; side < 2; ++side) {
     for_each_input(side, [&](const PartitionProperty& p) {
-      p.CanonicalizeInto(j, scratch);
-      if (scratch->KeysSubsetOf(jcols)) add(*scratch);
+      const PartitionProperty canon = p.Canonicalize(j);
+      if (canon.KeysSubsetOf(jcols)) add(canon);
       single_node[side] |= p.kind() == PartitionProperty::Kind::kSingleNode;
     });
   }
@@ -86,8 +75,7 @@ bool JoinPartitions(bool parallel, const InputPartitions& for_each_input,
     add(PartitionProperty::SingleNode());
     return false;
   }
-  scratch->AssignHash(jcols);
-  add(*scratch);
+  add(PartitionProperty::Hash(jcols));
   return true;
 }
 
@@ -99,8 +87,8 @@ bool IndexLeadsJoin(const QueryGraph& graph, int t, const Index& idx,
 /// Index nested-loops in parallel mode: an inner distributed as `p` can be
 /// probed in place if replicated or co-located on `jcols` (canonical in j).
 bool ProbeColocated(const PartitionProperty& p,
-                    const std::vector<ColumnRef>& jcols,
-                    const ColumnEquivalence& j, PartitionProperty* scratch);
+                    std::span<const ColumnRef> jcols,
+                    const EntryEquivalence& j);
 
 }  // namespace cote
 

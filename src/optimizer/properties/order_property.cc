@@ -6,40 +6,16 @@
 
 namespace cote {
 
-OrderProperty OrderProperty::Canonicalize(const ColumnEquivalence& equiv) const {
-  OrderProperty out;
-  CanonicalizeInto(equiv, &out);
-  return out;
-}
-
-void OrderProperty::CanonicalizeInto(const ColumnEquivalence& equiv,
-                                     OrderProperty* out) const {
-  std::vector<ColumnRef>& out_cols = out->columns_;
-  out_cols.clear();
-  for (const ColumnRef& c : columns_) {
-    ColumnRef rep = equiv.Find(c);
-    if (std::find(out_cols.begin(), out_cols.end(), rep) == out_cols.end()) {
-      out_cols.push_back(rep);
-    }
-  }
-}
-
 bool OrderProperty::SatisfiesPrefix(const OrderProperty& required) const {
   if (required.size() > size()) return false;
-  for (int i = 0; i < required.size(); ++i) {
-    if (columns_[i] != required.columns_[i]) return false;
-  }
-  return true;
+  return std::equal(required.columns_.begin(), required.columns_.end(),
+                    columns_.begin());
 }
 
 bool OrderProperty::SatisfiesSet(const OrderProperty& required) const {
   if (required.size() > size()) return false;
   for (int i = 0; i < required.size(); ++i) {
-    const ColumnRef& c = columns_[i];
-    if (std::find(required.columns_.begin(), required.columns_.end(), c) ==
-        required.columns_.end()) {
-      return false;
-    }
+    if (!required.columns_.Contains(columns_[i])) return false;
   }
   // The prefix columns are all members of `required` and (being distinct)
   // there are required.size() of them, so they form exactly that set.
@@ -47,11 +23,11 @@ bool OrderProperty::SatisfiesSet(const OrderProperty& required) const {
 }
 
 OrderProperty OrderProperty::Extend(const OrderProperty& suffix) const {
-  std::vector<ColumnRef> out = columns_;
+  OrderProperty out = *this;
   for (const ColumnRef& c : suffix.columns_) {
-    if (std::find(out.begin(), out.end(), c) == out.end()) out.push_back(c);
+    if (!out.columns_.Contains(c)) out.columns_.Append(c);
   }
-  return OrderProperty(std::move(out));
+  return out;
 }
 
 std::vector<int> OrderProperty::Tables() const {

@@ -1,11 +1,13 @@
 #ifndef COTE_OPTIMIZER_PROPERTIES_ORDER_PROPERTY_H_
 #define COTE_OPTIMIZER_PROPERTIES_ORDER_PROPERTY_H_
 
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "optimizer/properties/column_list.h"
 #include "query/column_ref.h"
-#include "query/equivalence.h"
 
 namespace cote {
 
@@ -15,20 +17,20 @@ namespace cote {
 /// is the paper's "DC" (don't-care) value: no useful order. Orders are
 /// compared *after* canonicalization through a column-equivalence relation,
 /// because join predicates make orders on different columns equivalent
-/// (`R.a = S.a` makes orders on R.a and S.a interchangeable).
+/// (`R.a = S.a` makes orders on R.a and S.a interchangeable). The columns
+/// are held inline (ColumnList), so a value up to ColumnList::kInline
+/// columns long is copied and compared without touching the heap.
 class OrderProperty {
  public:
   OrderProperty() = default;
-  explicit OrderProperty(std::vector<ColumnRef> columns)
-      : columns_(std::move(columns)) {}
+  explicit OrderProperty(std::span<const ColumnRef> columns)
+      : columns_(columns) {}
+  OrderProperty(std::initializer_list<ColumnRef> columns)
+      : columns_(std::span<const ColumnRef>(columns.begin(), columns.size())) {}
 
   static OrderProperty None() { return OrderProperty(); }
 
-  /// Replaces the column list by copy, reusing this property's buffer
-  /// capacity (scratch-object reuse on the estimate-mode hot path).
-  void Assign(const std::vector<ColumnRef>& columns) { columns_ = columns; }
-
-  const std::vector<ColumnRef>& columns() const { return columns_; }
+  const ColumnList& columns() const { return columns_; }
   bool IsNone() const { return columns_.empty(); }
   int size() const { return static_cast<int>(columns_.size()); }
 
@@ -37,18 +39,16 @@ class OrderProperty {
   }
   bool operator!=(const OrderProperty& o) const { return !(*this == o); }
 
+  /// Appends a column (no dedupe).
+  void Append(ColumnRef c) { columns_.Append(c); }
+
   /// Rewrites every column to its equivalence-class representative and
   /// drops repeated columns (a column equivalent to an earlier one adds no
-  /// ordering information).
-  OrderProperty Canonicalize(const ColumnEquivalence& equiv) const;
-
-  /// Allocation-free variant for the estimate-mode hot path: writes the
-  /// canonical form into `*out`, reusing its column buffer's capacity.
-  /// `out` must not alias `this`. Canonicalizing into a reused scratch
-  /// OrderProperty performs no heap allocation in steady state — the
-  /// property hotpath_alloc_test locks in.
-  void CanonicalizeInto(const ColumnEquivalence& equiv,
-                        OrderProperty* out) const;
+  /// ordering information). `Equivalence` is any relation with
+  /// `ColumnRef Find(ColumnRef) const`: a MEMO entry's EntryEquivalence on
+  /// the optimizer's paths.
+  template <typename Equivalence>
+  OrderProperty Canonicalize(const Equivalence& equiv) const;
 
   /// True if rows ordered by *this* also satisfy `required` (prefix
   /// semantics): `required` must be a prefix of this order. This is the
@@ -75,8 +75,18 @@ class OrderProperty {
   std::string ToString() const;
 
  private:
-  std::vector<ColumnRef> columns_;
+  ColumnList columns_;
 };
+
+template <typename Equivalence>
+OrderProperty OrderProperty::Canonicalize(const Equivalence& equiv) const {
+  OrderProperty out;
+  for (const ColumnRef& c : columns_) {
+    const ColumnRef rep = equiv.Find(c);
+    if (!out.columns_.Contains(rep)) out.columns_.Append(rep);
+  }
+  return out;
+}
 
 struct OrderPropertyHash {
   size_t operator()(const OrderProperty& o) const {

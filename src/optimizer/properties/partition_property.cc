@@ -1,46 +1,18 @@
 #include "optimizer/properties/partition_property.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/str_util.h"
 
 namespace cote {
 
-void PartitionProperty::NormalizeKeys(std::vector<ColumnRef>* columns) {
-  std::sort(columns->begin(), columns->end());
-  columns->erase(std::unique(columns->begin(), columns->end()),
-                 columns->end());
-}
-
-PartitionProperty PartitionProperty::Hash(std::vector<ColumnRef> columns) {
+PartitionProperty PartitionProperty::Hash(std::span<const ColumnRef> columns) {
   PartitionProperty p;
   p.kind_ = Kind::kHash;
-  NormalizeKeys(&columns);
-  p.columns_ = std::move(columns);
+  p.columns_.Assign(columns);
+  p.columns_.SortUnique();
   return p;
-}
-
-void PartitionProperty::AssignHash(const std::vector<ColumnRef>& columns) {
-  kind_ = Kind::kHash;
-  columns_ = columns;
-  NormalizeKeys(&columns_);
-}
-
-PartitionProperty PartitionProperty::Canonicalize(
-    const ColumnEquivalence& equiv) const {
-  PartitionProperty out;
-  CanonicalizeInto(equiv, &out);
-  return out;
-}
-
-void PartitionProperty::CanonicalizeInto(const ColumnEquivalence& equiv,
-                                         PartitionProperty* out) const {
-  out->kind_ = kind_;
-  std::vector<ColumnRef>& out_cols = out->columns_;
-  out_cols.clear();
-  if (kind_ != Kind::kHash) return;
-  for (const ColumnRef& c : columns_) out_cols.push_back(equiv.Find(c));
-  NormalizeKeys(&out_cols);
 }
 
 bool PartitionProperty::Satisfies(const PartitionProperty& required) const {
@@ -60,7 +32,7 @@ bool PartitionProperty::Satisfies(const PartitionProperty& required) const {
 }
 
 bool PartitionProperty::KeysSubsetOf(
-    const std::vector<ColumnRef>& columns) const {
+    std::span<const ColumnRef> columns) const {
   if (kind_ != Kind::kHash) return false;
   for (const ColumnRef& c : columns_) {
     if (std::find(columns.begin(), columns.end(), c) == columns.end()) {

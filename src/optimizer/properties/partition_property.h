@@ -1,11 +1,12 @@
 #ifndef COTE_OPTIMIZER_PROPERTIES_PARTITION_PROPERTY_H_
 #define COTE_OPTIMIZER_PROPERTIES_PARTITION_PROPERTY_H_
 
+#include <initializer_list>
+#include <span>
 #include <string>
-#include <vector>
 
+#include "optimizer/properties/column_list.h"
 #include "query/column_ref.h"
-#include "query/equivalence.h"
 
 namespace cote {
 
@@ -13,7 +14,8 @@ namespace cote {
 ///
 /// Describes how the rows of an intermediate result are distributed across
 /// the nodes of the parallel system (the paper's second property, §3.2).
-/// In serial mode every plan carries kSerial.
+/// In serial mode every plan carries kSerial. Hash keys are held inline
+/// (ColumnList), like an order's columns.
 class PartitionProperty {
  public:
   enum class Kind {
@@ -23,9 +25,12 @@ class PartitionProperty {
     kSingleNode,  ///< all rows on one node
   };
 
-  PartitionProperty() : kind_(Kind::kSerial) {}
+  PartitionProperty() = default;
   static PartitionProperty Serial() { return PartitionProperty(); }
-  static PartitionProperty Hash(std::vector<ColumnRef> columns);
+  static PartitionProperty Hash(std::span<const ColumnRef> columns);
+  static PartitionProperty Hash(std::initializer_list<ColumnRef> columns) {
+    return Hash(std::span<const ColumnRef>(columns.begin(), columns.size()));
+  }
   static PartitionProperty Replicated() {
     PartitionProperty p;
     p.kind_ = Kind::kReplicated;
@@ -37,27 +42,19 @@ class PartitionProperty {
     return p;
   }
 
-  /// Makes this a hash partitioning on `columns`, reusing this property's
-  /// key buffer: the allocation-free form of Hash() for scratch objects.
-  void AssignHash(const std::vector<ColumnRef>& columns);
-
   Kind kind() const { return kind_; }
   /// Hash key columns, kept sorted (set semantics).
-  const std::vector<ColumnRef>& columns() const { return columns_; }
+  const ColumnList& columns() const { return columns_; }
 
   bool operator==(const PartitionProperty& o) const {
     return kind_ == o.kind_ && columns_ == o.columns_;
   }
   bool operator!=(const PartitionProperty& o) const { return !(*this == o); }
 
-  /// Rewrites key columns through the equivalence relation and re-sorts.
-  PartitionProperty Canonicalize(const ColumnEquivalence& equiv) const;
-
-  /// Allocation-free variant for the estimate-mode hot path: writes the
-  /// canonical form into `*out`, reusing its key buffer's capacity.
-  /// `out` must not alias `this`.
-  void CanonicalizeInto(const ColumnEquivalence& equiv,
-                        PartitionProperty* out) const;
+  /// Rewrites key columns through the equivalence relation (any type with
+  /// `ColumnRef Find(ColumnRef) const`) and re-sorts.
+  template <typename Equivalence>
+  PartitionProperty Canonicalize(const Equivalence& equiv) const;
 
   /// True if this distribution can serve as `required` without data
   /// movement. Replicated serves any hash requirement; single-node rows
@@ -66,17 +63,25 @@ class PartitionProperty {
 
   /// True if the partition keys are a subset of the given (canonical)
   /// column set — i.e. co-location on these join columns holds.
-  bool KeysSubsetOf(const std::vector<ColumnRef>& columns) const;
+  bool KeysSubsetOf(std::span<const ColumnRef> columns) const;
 
   std::string ToString() const;
 
  private:
-  /// Sorts and dedupes hash keys in place (set semantics).
-  static void NormalizeKeys(std::vector<ColumnRef>* columns);
-
-  Kind kind_;
-  std::vector<ColumnRef> columns_;
+  Kind kind_ = Kind::kSerial;
+  ColumnList columns_;
 };
+
+template <typename Equivalence>
+PartitionProperty PartitionProperty::Canonicalize(
+    const Equivalence& equiv) const {
+  PartitionProperty out;
+  out.kind_ = kind_;
+  if (kind_ != Kind::kHash) return out;
+  for (const ColumnRef& c : columns_) out.columns_.Append(equiv.Find(c));
+  out.columns_.SortUnique();
+  return out;
+}
 
 struct PartitionPropertyHash {
   size_t operator()(const PartitionProperty& p) const {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "catalog/catalog.h"
+#include "optimizer/properties/entry_equivalence.h"
 #include "query/query_builder.h"
 
 namespace cote {
@@ -142,19 +145,24 @@ TEST_F(InterestingOrdersTest, UsefulRespectsSemantics) {
   auto g = qb.Build();
   ASSERT_TRUE(g.ok());
   InterestingOrders io(*g);
-  ColumnEquivalence eq;  // base entry: no equivalences
   TableSet t0 = TableSet::Single(0);
+  // The base entry's equivalence (no equivalences) and its interests.
+  ColumnIds ids;
+  ids.Build(*g);
+  EntryEquivalence eq;
+  std::vector<int> preds;
+  eq.Build(ids, *g, t0, &preds);
+  eq.BuildInterests(io, t0);
 
   // (b) satisfies the ORDER BY interest via prefix.
-  EXPECT_TRUE(io.Useful(OrderProperty({ColumnRef(0, 1)}), t0, eq));
+  EXPECT_TRUE(eq.Useful(OrderProperty({ColumnRef(0, 1)})));
   // (d,c) satisfies the GROUP BY via set semantics.
-  EXPECT_TRUE(io.Useful(
-      OrderProperty({ColumnRef(0, 3), ColumnRef(0, 2)}), t0, eq));
+  EXPECT_TRUE(eq.Useful(OrderProperty({ColumnRef(0, 3), ColumnRef(0, 2)})));
   // (d) alone covers only part of the grouping set of t0: there is also a
   // per-table projection interest {c,d} for t0, which (d) doesn't cover.
-  EXPECT_FALSE(io.Useful(OrderProperty({ColumnRef(0, 3)}), t0, eq));
+  EXPECT_FALSE(eq.Useful(OrderProperty({ColumnRef(0, 3)})));
   // DC is never "useful".
-  EXPECT_FALSE(io.Useful(OrderProperty::None(), t0, eq));
+  EXPECT_FALSE(eq.Useful(OrderProperty::None()));
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "common/slot_vector.h"
 #include "query/query_builder.h"
 
 namespace cote {
@@ -46,18 +45,23 @@ class JoinRulesTest : public ::testing::Test {
     StatusOr<QueryGraph> g = qb.Build();
     ASSERT_TRUE(g.ok());
     graph_ = std::make_unique<QueryGraph>(std::move(g).value());
+    ids_.Build(*graph_);
   }
 
-  /// The equivalence of entry `s`, built by the shared rule.
-  ColumnEquivalence Equivalence(TableSet s) const {
-    ColumnEquivalence equiv;
+  /// The equivalence of entry `s` (with the interests of `interesting`
+  /// active there, if given), built as every entry builds it.
+  EntryEquivalence Equivalence(
+      TableSet s, const InterestingOrders* interesting = nullptr) const {
+    EntryEquivalence equiv;
     std::vector<int> preds;
-    AddEntryEquivalences(*graph_, s, &preds, &equiv);
+    equiv.Build(ids_, *graph_, s, &preds);
+    if (interesting != nullptr) equiv.BuildInterests(*interesting, s);
     return equiv;
   }
 
   std::shared_ptr<Catalog> catalog_;
   std::unique_ptr<QueryGraph> graph_;
+  ColumnIds ids_;
 };
 
 /// Runs the co-location rule over two explicit partition lists.
@@ -65,14 +69,13 @@ template <typename PartitionList>
 bool Colocate(bool parallel, const std::vector<PartitionProperty>& outer,
               const std::vector<PartitionProperty>& inner,
               const std::vector<ColumnRef>& jcols,
-              const ColumnEquivalence& j, PartitionList* out) {
-  PartitionProperty scratch;
+              const EntryEquivalence& j, PartitionList* out) {
   return JoinPartitions(
       parallel,
       [&](int side, const auto& fn) {
         for (const PartitionProperty& p : side == 0 ? outer : inner) fn(p);
       },
-      jcols, j, &scratch, out);
+      jcols, j, out);
 }
 
 PartitionProperty HashOn(ColumnRef c) { return PartitionProperty::Hash({c}); }
@@ -84,37 +87,39 @@ const ColumnRef kRb(kR, kB);
 
 TEST_F(JoinRulesTest, EntryEquivalenceJoinsTheAppliedPredicateColumns) {
   EXPECT_FALSE(Equivalence(TableSet::Single(kH)).Equivalent(kHa, kRa));
-  ColumnEquivalence hr = Equivalence(TableSet::Single(kH).Union(
+  EntryEquivalence hr = Equivalence(TableSet::Single(kH).Union(
       TableSet::Single(kR)));
   EXPECT_TRUE(hr.Equivalent(kHa, kRa));
   EXPECT_FALSE(hr.Equivalent(kRb, ColumnRef(kS, kB)));  // not applied yet
 }
 
 TEST_F(JoinRulesTest, JoinColumnsAreCanonicalAndDeduped) {
-  ColumnEquivalence hr = Equivalence(TableSet::Single(kH).Union(
+  EntryEquivalence hr = Equivalence(TableSet::Single(kH).Union(
       TableSet::Single(kR)));
-  std::vector<ColumnRef> jcols = {kRb};  // stale content is cleared
+  ColumnList jcols;
+  jcols.Append(kRb);  // stale content is cleared
   CanonicalJoinColumns(*graph_, {0, 0}, hr, &jcols);
-  EXPECT_EQ(jcols, (std::vector<ColumnRef>{hr.Find(kHa)}));
+  EXPECT_EQ(std::vector<ColumnRef>(jcols.begin(), jcols.end()),
+            (std::vector<ColumnRef>{hr.Find(kHa)}));
 }
 
 TEST_F(JoinRulesTest, SerialModeHasOnlyTheSerialPartition) {
   std::vector<PartitionProperty> out;
   EXPECT_FALSE(Colocate(false, {HashOn(kHa)}, {HashOn(kRa)}, {kHa},
-                        ColumnEquivalence(), &out));
+                        EntryEquivalence(), &out));
   EXPECT_EQ(out, (std::vector<PartitionProperty>{PartitionProperty::Serial()}));
 }
 
 TEST_F(JoinRulesTest, KeepsHashOnJoinColumnSubsetDropsHashOnOtherColumns) {
   std::vector<PartitionProperty> out;
   EXPECT_FALSE(Colocate(true, {HashOn(kHa)}, {HashOn(kRb)}, {kHa, kRa},
-                        ColumnEquivalence(), &out));
+                        EntryEquivalence(), &out));
   EXPECT_EQ(out, (std::vector<PartitionProperty>{HashOn(kHa)}));
 }
 
 TEST_F(JoinRulesTest, PartitionInBothInputsAppearsOnceInInputOrder) {
   // In {h, r}, h.a and r.a are one class: both inputs offer its hash.
-  ColumnEquivalence hr = Equivalence(TableSet::Single(kH).Union(
+  EntryEquivalence hr = Equivalence(TableSet::Single(kH).Union(
       TableSet::Single(kR)));
   const ColumnRef a = hr.Find(kHa);
   std::vector<PartitionProperty> out;
@@ -127,7 +132,7 @@ TEST_F(JoinRulesTest, TwoSingleNodeInputsGiveSingleNode) {
   std::vector<PartitionProperty> out;
   EXPECT_FALSE(Colocate(true, {PartitionProperty::SingleNode()},
                         {PartitionProperty::SingleNode()}, {kHa},
-                        ColumnEquivalence(), &out));
+                        EntryEquivalence(), &out));
   EXPECT_EQ(out, (std::vector<PartitionProperty>{
                      PartitionProperty::SingleNode()}));
 }
@@ -135,23 +140,24 @@ TEST_F(JoinRulesTest, TwoSingleNodeInputsGiveSingleNode) {
 TEST_F(JoinRulesTest, NoUsablePartitionIntroducesTheFreshTarget) {
   std::vector<PartitionProperty> out;
   EXPECT_TRUE(Colocate(true, {PartitionProperty::Replicated()},
-                       {HashOn(kRb)}, {kRa, kHb}, ColumnEquivalence(), &out));
+                       {HashOn(kRb)}, {kRa, kHb}, EntryEquivalence(), &out));
   EXPECT_EQ(out,
             (std::vector<PartitionProperty>{PartitionProperty::Hash({kRa, kHb})}));
-  // The counter's flavor: a recycled SlotVector gives the same answer.
-  SlotVector<PartitionProperty> slots;
-  slots.push_back(PartitionProperty::SingleNode());
+  // The counter's flavor: a reused list holding stale values gives the
+  // same answer.
+  std::vector<PartitionProperty> reused;
+  reused.push_back(PartitionProperty::SingleNode());
   EXPECT_TRUE(Colocate(true, {PartitionProperty::Replicated()},
-                       {HashOn(kRb)}, {kRa, kHb}, ColumnEquivalence(),
-                       &slots));
-  ASSERT_EQ(slots.size(), 1u);
-  EXPECT_EQ(slots[0], out[0]);
+                       {HashOn(kRb)}, {kRa, kHb}, EntryEquivalence(),
+                       &reused));
+  ASSERT_EQ(reused.size(), 1u);
+  EXPECT_EQ(reused[0], out[0]);
 }
 
 TEST_F(JoinRulesTest, NoJoinColumnsGiveSingleNode) {
   std::vector<PartitionProperty> out;
   EXPECT_FALSE(Colocate(true, {HashOn(kHa)}, {HashOn(kRa)}, {},
-                        ColumnEquivalence(), &out));
+                        EntryEquivalence(), &out));
   EXPECT_EQ(out, (std::vector<PartitionProperty>{
                      PartitionProperty::SingleNode()}));
 }
@@ -159,22 +165,15 @@ TEST_F(JoinRulesTest, NoJoinColumnsGiveSingleNode) {
 TEST_F(JoinRulesTest, InputHashedOnExactlyTheJoinColumnsIsNotFresh) {
   std::vector<PartitionProperty> out;
   EXPECT_FALSE(Colocate(true, {PartitionProperty::Hash({kHa, kHb})}, {},
-                        {kHb, kHa}, ColumnEquivalence(), &out));
+                        {kHb, kHa}, EntryEquivalence(), &out));
   EXPECT_EQ(out,
             (std::vector<PartitionProperty>{PartitionProperty::Hash({kHa, kHb})}));
 }
 
 TEST_F(JoinRulesTest, BasePartitionFollowsTheCatalogSpec) {
-  std::vector<ColumnRef> cols;
-  PartitionProperty out;
-  BasePartition(*graph_, kH, &cols, &out);
-  EXPECT_EQ(out, HashOn(kHa));
-  BasePartition(*graph_, kR, &cols, &out);
-  EXPECT_EQ(out, PartitionProperty::Replicated());
-  BasePartition(*graph_, kS, &cols, &out);
-  EXPECT_EQ(out, PartitionProperty::SingleNode());
-  BasePartition(*graph_, kH, &cols, &out);  // reused after non-hash kinds
-  EXPECT_EQ(out, HashOn(kHa));
+  EXPECT_EQ(BasePartition(*graph_, kH), HashOn(kHa));
+  EXPECT_EQ(BasePartition(*graph_, kR), PartitionProperty::Replicated());
+  EXPECT_EQ(BasePartition(*graph_, kS), PartitionProperty::SingleNode());
 }
 
 TEST_F(JoinRulesTest, IndexLeadsJoinOnlyOnItsLeadingColumn) {
@@ -187,29 +186,24 @@ TEST_F(JoinRulesTest, IndexLeadsJoinOnlyOnItsLeadingColumn) {
 }
 
 TEST_F(JoinRulesTest, ProbeIsColocatedWhenReplicatedOrHashedOnJoinColumns) {
-  ColumnEquivalence hr = Equivalence(TableSet::Single(kH).Union(
+  EntryEquivalence hr = Equivalence(TableSet::Single(kH).Union(
       TableSet::Single(kR)));
   const std::vector<ColumnRef> jcols = {hr.Find(kHa)};
-  PartitionProperty scratch;
-  EXPECT_TRUE(ProbeColocated(PartitionProperty::Replicated(), jcols, hr,
-                             &scratch));
-  EXPECT_TRUE(ProbeColocated(HashOn(kRa), jcols, hr, &scratch));  // ~ h.a
-  EXPECT_FALSE(ProbeColocated(HashOn(kRb), jcols, hr, &scratch));
-  EXPECT_FALSE(ProbeColocated(PartitionProperty::SingleNode(), jcols, hr,
-                              &scratch));
+  EXPECT_TRUE(ProbeColocated(PartitionProperty::Replicated(), jcols, hr));
+  EXPECT_TRUE(ProbeColocated(HashOn(kRa), jcols, hr));  // ~ h.a
+  EXPECT_FALSE(ProbeColocated(HashOn(kRb), jcols, hr));
+  EXPECT_FALSE(ProbeColocated(PartitionProperty::SingleNode(), jcols, hr));
 }
 
 TEST_F(JoinRulesTest, JoinColumnOrderRetiresInsideTheEntryApplyingIt) {
   InterestingOrders interesting(*graph_);
   const OrderProperty on_ha({kHa});
-  OrderProperty scratch, out;
+  OrderProperty out;
   const TableSet h = TableSet::Single(kH);
-  EXPECT_TRUE(RetainOrder(on_ha, h, Equivalence(h), interesting, &scratch,
-                          &out));
+  EXPECT_TRUE(RetainOrder(on_ha, Equivalence(h, &interesting), &out));
   EXPECT_EQ(out, on_ha);
   const TableSet hr = h.Union(TableSet::Single(kR));
-  EXPECT_FALSE(RetainOrder(on_ha, hr, Equivalence(hr), interesting, &scratch,
-                           &out));
+  EXPECT_FALSE(RetainOrder(on_ha, Equivalence(hr, &interesting), &out));
   EXPECT_TRUE(out.IsNone());
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "query/equivalence.h"
+
 namespace cote {
 namespace {
 

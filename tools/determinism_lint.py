@@ -97,6 +97,34 @@ DET_FUNCTIONS = {
     "src/optimizer/properties/join_rules.h": {
         "JoinPartitions": (),
     },
+    # Order retirement and the join columns: their outputs are property
+    # values both visitors list in order.
+    "src/optimizer/properties/join_rules.cc": {
+        "CanonicalJoinColumns": (),
+        "RetainOrder": (),
+    },
+    # The per-entry equivalence: representatives (the minimum-encoded class
+    # member, whatever the predicate order) and the canonical interests in
+    # interest order, which the counter's and the generator's base-table
+    # seeding iterate.
+    "src/optimizer/properties/entry_equivalence.cc": {
+        "EntryEquivalence::Build": (),
+        "EntryEquivalence::BuildInterests": (),
+        "EntryEquivalence::Useful": (),
+    },
+    # Canonical property values and the inline column list under them.
+    "src/optimizer/properties/order_property.h": {
+        "OrderProperty::Canonicalize": (),
+    },
+    "src/optimizer/properties/partition_property.h": {
+        "PartitionProperty::Canonicalize": (),
+    },
+    "src/optimizer/properties/column_list.h": {
+        "ColumnList::Assign": (),
+        "ColumnList::Append": (),
+        "ColumnList::SortUnique": (),
+        "ColumnList::operator==": (),
+    },
     "src/core/plan_counter.cc": {
         "PlanCounter::AdoptShardRank": ("merge",),
         "PlanCounter::OnJoin": (),
