@@ -1,6 +1,7 @@
 #include "parser/binder.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/str_util.h"
 #include "parser/parser.h"
@@ -35,14 +36,39 @@ StatusOr<MultiBlockQuery> Binder::BindMulti(const ast::SelectStatement& stmt) {
   return out;
 }
 
+namespace {
+
+/// The table ref `alias` names, or -1. The graph's table refs are the flat
+/// alias table: a query has at most 64 of them (TableSet's cap).
+int FindAlias(const QueryGraph& graph, std::string_view alias) {
+  for (int t = 0; t < graph.num_tables(); ++t) {
+    if (graph.table_ref(t).alias == alias) return t;
+  }
+  return -1;
+}
+
+/// Adds the join and the local predicates of `preds` to the counts, so
+/// Bind can size the graph's vectors once.
+void CountPredicates(const std::vector<ast::Predicate>& preds, size_t* joins,
+                     size_t* locals) {
+  for (const ast::Predicate& pred : preds) {
+    if (pred.is_join && pred.subquery == nullptr) {
+      ++*joins;
+    } else {
+      ++*locals;
+    }
+  }
+}
+
+}  // namespace
+
 StatusOr<ColumnRef> Binder::Resolve(const ast::ColumnName& name,
                                     const QueryGraph& graph) {
   if (!name.qualifier.empty()) {
-    auto it = alias_to_ref_.find(name.qualifier);
-    if (it == alias_to_ref_.end()) {
+    const int ref = FindAlias(graph, name.qualifier);
+    if (ref < 0) {
       return Status::BindError("unknown table or alias " + name.qualifier);
     }
-    int ref = it->second;
     int ord = graph.table_ref(ref).table->FindColumn(name.column);
     if (ord < 0) {
       return Status::BindError("column " + name.ToString() + " not found");
@@ -170,43 +196,47 @@ Status Binder::BindPredicate(const ast::Predicate& pred, bool left_outer,
 
 StatusOr<QueryGraph> Binder::Bind(const ast::SelectStatement& stmt) {
   QueryGraph graph;
-  alias_to_ref_.clear();
+  size_t num_refs = 0, num_joins = 0, num_locals = 0;
+  for (const ast::FromItem& item : stmt.from) {
+    num_refs += 1 + item.joins.size();
+    for (const ast::JoinClause& jc : item.joins) {
+      CountPredicates(jc.on, &num_joins, &num_locals);
+    }
+  }
+  CountPredicates(stmt.where, &num_joins, &num_locals);
+  graph.Reserve(num_refs, num_joins, num_locals);
 
   // Pass 1: register all table refs so ON/WHERE can see every alias.
-  struct PendingJoin {
-    const ast::JoinClause* clause;
-    int new_ref;
+  auto add_ref = [&](const ast::TableRef& ref) -> Status {
+    const Table* t = catalog_.FindTable(ref.table_name);
+    if (t == nullptr) {
+      return Status::BindError("unknown table " + ref.table_name);
+    }
+    const std::string& alias = ref.alias.empty() ? ref.table_name : ref.alias;
+    if (FindAlias(graph, alias) >= 0) {
+      return Status::BindError("duplicate table alias " + alias);
+    }
+    graph.AddTableRef(t, alias);
+    return Status::OK();
   };
-  std::vector<PendingJoin> pending;
   for (const ast::FromItem& item : stmt.from) {
-    auto add_ref = [&](const ast::TableRef& ref) -> StatusOr<int> {
-      const Table* t = catalog_.FindTable(ref.table_name);
-      if (t == nullptr) {
-        return Status::BindError("unknown table " + ref.table_name);
-      }
-      std::string alias = ref.alias.empty() ? ref.table_name : ref.alias;
-      if (alias_to_ref_.count(alias) > 0) {
-        return Status::BindError("duplicate table alias " + alias);
-      }
-      int id = graph.AddTableRef(t, alias);
-      alias_to_ref_[alias] = id;
-      return id;
-    };
-    auto base = add_ref(item.table);
-    if (!base.ok()) return base.status();
+    COTE_RETURN_NOT_OK(add_ref(item.table));
     for (const ast::JoinClause& jc : item.joins) {
-      auto ref = add_ref(jc.table);
-      if (!ref.ok()) return ref.status();
-      pending.push_back(PendingJoin{&jc, ref.value()});
+      COTE_RETURN_NOT_OK(add_ref(jc.table));
     }
   }
 
-  // Pass 2: bind ON conditions and WHERE conjuncts.
-  for (const PendingJoin& pj : pending) {
-    for (const ast::Predicate& pred : pj.clause->on) {
-      COTE_RETURN_NOT_OK(BindPredicate(pred, pj.clause->left_outer,
-                                       pj.new_ref, &graph));
+  // Pass 2: bind ON conditions (in FROM order; a JOIN's table is the ref
+  // registered right after the refs before it), then WHERE conjuncts.
+  int ref = 0;
+  for (const ast::FromItem& item : stmt.from) {
+    for (const ast::JoinClause& jc : item.joins) {
+      ++ref;
+      for (const ast::Predicate& pred : jc.on) {
+        COTE_RETURN_NOT_OK(BindPredicate(pred, jc.left_outer, ref, &graph));
+      }
     }
+    ++ref;
   }
   for (const ast::Predicate& pred : stmt.where) {
     COTE_RETURN_NOT_OK(
@@ -233,19 +263,19 @@ StatusOr<QueryGraph> Binder::Bind(const ast::SelectStatement& stmt) {
   }
   if (!order_by.empty()) graph.SetOrderBy(std::move(order_by));
 
+  // SELECT DISTINCT deduplicates on the select list — it plans exactly
+  // like a GROUP BY on those columns, so their orders become interesting.
+  const bool distinct_groups = stmt.distinct && graph.group_by().empty();
   std::vector<ColumnRef> select_cols;
   for (const ast::SelectItem& item : stmt.select_list) {
     if (item.agg != ast::AggFunc::kNone) graph.set_has_aggregation(true);
     if (!item.star && !item.column.column.empty()) {
       auto c = Resolve(item.column, graph);
       if (!c.ok()) return c.status();
-      select_cols.push_back(*c);
+      if (distinct_groups) select_cols.push_back(*c);
     }
   }
-
-  // SELECT DISTINCT deduplicates on the select list — it plans exactly
-  // like a GROUP BY on those columns, so their orders become interesting.
-  if (stmt.distinct && graph.group_by().empty() && !select_cols.empty()) {
+  if (distinct_groups && !select_cols.empty()) {
     graph.SetGroupBy(std::move(select_cols));
     graph.set_has_aggregation(true);
   }

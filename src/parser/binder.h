@@ -2,7 +2,6 @@
 #define COTE_PARSER_BINDER_H_
 
 #include <string>
-#include <unordered_map>
 
 #include "catalog/catalog.h"
 #include "common/status.h"
@@ -57,7 +56,6 @@ class Binder {
 
   const Catalog& catalog_;
   BinderOptions options_;
-  std::unordered_map<std::string, int> alias_to_ref_;
   /// When non-null, BindPredicate appends bound subquery blocks here.
   std::vector<QueryGraph>* collected_blocks_ = nullptr;
 };

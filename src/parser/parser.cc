@@ -1,19 +1,20 @@
 #include "parser/parser.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <memory>
+#include <system_error>
 
 #include "common/str_util.h"
-#include "parser/lexer.h"
 
 namespace cote {
 
 StatusOr<ast::SelectStatement> Parser::Parse(const std::string& sql) {
-  Lexer lexer(sql);
-  auto tokens = lexer.Tokenize();
+  auto tokens = Lexer(sql).Tokenize();
   if (!tokens.ok()) return tokens.status();
   Parser parser(std::move(tokens).value());
-  return parser.ParseSelect(/*top_level=*/true);
+  ast::SelectStatement stmt;
+  COTE_RETURN_NOT_OK(parser.ParseSelect(/*top_level=*/true, &stmt));
+  return stmt;
 }
 
 bool Parser::AcceptKeyword(Keyword kw) {
@@ -52,57 +53,41 @@ Status Parser::ErrorAt(const Token& tok, const std::string& what) const {
                                       tok.offset));
 }
 
-StatusOr<ast::SelectStatement> Parser::ParseSelect(bool top_level) {
+Status Parser::ParseSelect(bool top_level, ast::SelectStatement* stmt) {
   COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kSelect));
-  ast::SelectStatement stmt;
-  stmt.distinct = AcceptKeyword(Keyword::kDistinct);
-  COTE_RETURN_NOT_OK(ParseSelectList(&stmt));
+  stmt->distinct = AcceptKeyword(Keyword::kDistinct);
+  COTE_RETURN_NOT_OK(ParseSelectList(stmt));
   COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kFrom));
-  COTE_RETURN_NOT_OK(ParseFromList(&stmt));
+  COTE_RETURN_NOT_OK(ParseFromList(stmt));
   if (AcceptKeyword(Keyword::kWhere)) {
-    auto conj = ParseConjunction();
-    if (!conj.ok()) return conj.status();
-    stmt.where = std::move(conj).value();
+    COTE_RETURN_NOT_OK(ParseConjunction(&stmt->where));
   }
   if (AcceptKeyword(Keyword::kGroup)) {
     COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kBy));
     do {
-      auto col = ParseColumn();
-      if (!col.ok()) return col.status();
-      stmt.group_by.push_back(std::move(col).value());
+      COTE_RETURN_NOT_OK(ParseColumn(&stmt->group_by.emplace_back()));
     } while (AcceptSymbol(","));
   }
   if (AcceptKeyword(Keyword::kOrder)) {
     COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kBy));
     do {
-      auto col = ParseColumn();
-      if (!col.ok()) return col.status();
-      ast::OrderItem item;
-      item.column = std::move(col).value();
+      ast::OrderItem& item = stmt->order_by.emplace_back();
+      COTE_RETURN_NOT_OK(ParseColumn(&item.column));
       if (AcceptKeyword(Keyword::kDesc)) {
         item.descending = true;
       } else {
         AcceptKeyword(Keyword::kAsc);
       }
-      stmt.order_by.push_back(std::move(item));
     } while (AcceptSymbol(","));
   }
   // FETCH FIRST n ROWS ONLY | LIMIT n.
   if (AcceptKeyword(Keyword::kFetch)) {
     COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kFirst));
-    const Token& n = Peek();
-    if (n.type != TokenType::kNumber) {
-      return ErrorAt(n, "expected row count after FETCH FIRST");
-    }
-    stmt.fetch_first = std::atoll(Next().text.c_str());
+    COTE_RETURN_NOT_OK(ParseRowCount("FETCH FIRST", &stmt->fetch_first));
     COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kRows));
     COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kOnly));
   } else if (AcceptKeyword(Keyword::kLimit)) {
-    const Token& n = Peek();
-    if (n.type != TokenType::kNumber) {
-      return ErrorAt(n, "expected row count after LIMIT");
-    }
-    stmt.fetch_first = std::atoll(Next().text.c_str());
+    COTE_RETURN_NOT_OK(ParseRowCount("LIMIT", &stmt->fetch_first));
   }
   if (top_level) {
     AcceptSymbol(";");
@@ -110,18 +95,34 @@ StatusOr<ast::SelectStatement> Parser::ParseSelect(bool top_level) {
       return ErrorAt(Peek(), "expected end of statement");
     }
   }
-  return stmt;
+  return Status::OK();
+}
+
+Status Parser::ParseRowCount(const char* clause, long long* count) {
+  const Token& n = Peek();
+  if (n.type != TokenType::kNumber) {
+    return ErrorAt(n, StrFormat("expected row count after %s", clause));
+  }
+  // The count is the number's leading digits (none, as in ".5", reads 0);
+  // a count that does not fit a long long is rejected.
+  long long value = 0;
+  const std::from_chars_result read =
+      std::from_chars(n.text.data(), n.text.data() + n.text.size(), value);
+  if (read.ec == std::errc::result_out_of_range) {
+    return ErrorAt(n, "row count out of range");
+  }
+  *count = value;
+  Next();
+  return Status::OK();
 }
 
 Status Parser::ParseSelectList(ast::SelectStatement* stmt) {
   if (AcceptSymbol("*")) {
-    ast::SelectItem item;
-    item.star = true;
-    stmt->select_list.push_back(item);
+    stmt->select_list.emplace_back().star = true;
     return Status::OK();
   }
   do {
-    ast::SelectItem item;
+    ast::SelectItem& item = stmt->select_list.emplace_back();
     auto agg = ast::AggFunc::kNone;
     switch (Peek().keyword) {
       case Keyword::kCount:
@@ -149,55 +150,47 @@ Status Parser::ParseSelectList(ast::SelectStatement* stmt) {
       if (AcceptSymbol("*")) {
         item.star = true;
       } else {
-        auto col = ParseColumn();
-        if (!col.ok()) return col.status();
-        item.column = std::move(col).value();
+        COTE_RETURN_NOT_OK(ParseColumn(&item.column));
       }
       COTE_RETURN_NOT_OK(ExpectSymbol(")"));
     } else {
-      auto col = ParseColumn();
-      if (!col.ok()) return col.status();
-      item.column = std::move(col).value();
+      COTE_RETURN_NOT_OK(ParseColumn(&item.column));
     }
     if (AcceptKeyword(Keyword::kAs)) {
       const Token& alias = Peek();
       if (alias.type != TokenType::kIdent) {
         return ErrorAt(alias, "expected output alias");
       }
-      item.output_alias = Next().text;
+      item.output_alias.assign(Next().text);
     }
-    stmt->select_list.push_back(std::move(item));
   } while (AcceptSymbol(","));
   return Status::OK();
 }
 
-StatusOr<ast::TableRef> Parser::ParseTableRef() {
+Status Parser::ParseTableRef(ast::TableRef* ref) {
   const Token& name = Peek();
   if (name.type != TokenType::kIdent || name.IsReserved()) {
     return Status(StatusCode::kParseError,
                   StrFormat("expected table name, found %s at offset %d",
                             name.ToString().c_str(), name.offset));
   }
-  ast::TableRef ref;
-  ref.table_name = Next().text;
+  ref->table_name.assign(Next().text);
   if (AcceptKeyword(Keyword::kAs)) {
     const Token& alias = Peek();
     if (alias.type != TokenType::kIdent) {
       return ErrorAt(alias, "expected alias after AS");
     }
-    ref.alias = Next().text;
+    ref->alias.assign(Next().text);
   } else if (Peek().type == TokenType::kIdent && !Peek().IsReserved()) {
-    ref.alias = Next().text;
+    ref->alias.assign(Next().text);
   }
-  return ref;
+  return Status::OK();
 }
 
 Status Parser::ParseFromList(ast::SelectStatement* stmt) {
   do {
-    auto base = ParseTableRef();
-    if (!base.ok()) return base.status();
-    ast::FromItem item;
-    item.table = std::move(base).value();
+    ast::FromItem& item = stmt->from.emplace_back();
+    COTE_RETURN_NOT_OK(ParseTableRef(&item.table));
     while (true) {
       bool left_outer = false;
       if (Peek().IsKeyword(Keyword::kLeft)) {
@@ -213,58 +206,39 @@ Status Parser::ParseFromList(ast::SelectStatement* stmt) {
       } else {
         break;
       }
-      auto ref = ParseTableRef();
-      if (!ref.ok()) return ref.status();
-      COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kOn));
-      auto conj = ParseConjunction();
-      if (!conj.ok()) return conj.status();
-      ast::JoinClause jc;
+      ast::JoinClause& jc = item.joins.emplace_back();
       jc.left_outer = left_outer;
-      jc.table = std::move(ref).value();
-      jc.on = std::move(conj).value();
-      item.joins.push_back(std::move(jc));
+      COTE_RETURN_NOT_OK(ParseTableRef(&jc.table));
+      COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kOn));
+      COTE_RETURN_NOT_OK(ParseConjunction(&jc.on));
     }
-    stmt->from.push_back(std::move(item));
   } while (AcceptSymbol(","));
   return Status::OK();
 }
 
-StatusOr<std::vector<ast::Predicate>> Parser::ParseConjunction() {
-  std::vector<ast::Predicate> preds;
+Status Parser::ParseConjunction(std::vector<ast::Predicate>* preds) {
   do {
-    auto p = ParsePredicate();
-    if (!p.ok()) return p.status();
-    preds.push_back(std::move(p).value());
+    COTE_RETURN_NOT_OK(ParsePredicate(&preds->emplace_back()));
   } while (AcceptKeyword(Keyword::kAnd));
-  return preds;
+  return Status::OK();
 }
 
-StatusOr<ast::Predicate> Parser::ParsePredicate() {
-  auto left = ParseColumn();
-  if (!left.ok()) return left.status();
-  ast::Predicate pred;
-  pred.left = std::move(left).value();
+Status Parser::ParsePredicate(ast::Predicate* pred) {
+  COTE_RETURN_NOT_OK(ParseColumn(&pred->left));
 
   if (AcceptKeyword(Keyword::kBetween)) {
-    pred.op = ast::CompareOp::kBetween;
-    auto lo = ParseLiteral();
-    if (!lo.ok()) return lo.status();
-    pred.literal = std::move(lo).value();
+    pred->op = ast::CompareOp::kBetween;
+    COTE_RETURN_NOT_OK(ParseLiteral(&pred->literal));
     COTE_RETURN_NOT_OK(ExpectKeyword(Keyword::kAnd));
-    auto hi = ParseLiteral();
-    if (!hi.ok()) return hi.status();
-    pred.literal2 = std::move(hi).value();
-    return pred;
+    return ParseLiteral(&pred->literal2);
   }
   if (AcceptKeyword(Keyword::kLike)) {
-    pred.op = ast::CompareOp::kLike;
-    auto lit = ParseLiteral();
-    if (!lit.ok()) return lit.status();
-    if (lit.value().kind != ast::Literal::Kind::kString) {
+    pred->op = ast::CompareOp::kLike;
+    COTE_RETURN_NOT_OK(ParseLiteral(&pred->literal));
+    if (pred->literal.kind != ast::Literal::Kind::kString) {
       return ErrorAt(Peek(), "LIKE requires a string pattern");
     }
-    pred.literal = std::move(lit).value();
-    return pred;
+    return Status::OK();
   }
 
   const Token& op = Peek();
@@ -277,19 +251,16 @@ StatusOr<ast::Predicate> Parser::ParsePredicate() {
   else if (op.IsSymbol(">=")) cmp = ast::CompareOp::kGe;
   else return ErrorAt(op, "expected comparison operator");
   Next();
-  pred.op = cmp;
+  pred->op = cmp;
 
   // '(' SELECT ... ')' on the right side is an uncorrelated scalar
   // subquery: a separate query block.
   if (Peek().IsSymbol("(") &&
       tokens_[pos_ + 1].IsKeyword(Keyword::kSelect)) {
     Next();  // consume '('
-    auto sub = ParseSelect(/*top_level=*/false);
-    if (!sub.ok()) return sub.status();
-    COTE_RETURN_NOT_OK(ExpectSymbol(")"));
-    pred.subquery =
-        std::make_shared<ast::SelectStatement>(std::move(sub).value());
-    return pred;
+    pred->subquery = std::make_shared<ast::SelectStatement>();
+    COTE_RETURN_NOT_OK(ParseSelect(/*top_level=*/false, pred->subquery.get()));
+    return ExpectSymbol(")");
   }
 
   // Column = column is a join predicate; otherwise expect a literal
@@ -297,55 +268,48 @@ StatusOr<ast::Predicate> Parser::ParsePredicate() {
   const Token& rhs = Peek();
   if (rhs.type == TokenType::kIdent && !rhs.IsReserved() &&
       !rhs.IsKeyword(Keyword::kDate)) {
-    auto right = ParseColumn();
-    if (!right.ok()) return right.status();
+    COTE_RETURN_NOT_OK(ParseColumn(&pred->right));
     if (cmp != ast::CompareOp::kEq) {
       return ErrorAt(rhs, "only equality join predicates are supported");
     }
-    pred.is_join = true;
-    pred.right = std::move(right).value();
-    return pred;
+    pred->is_join = true;
+    return Status::OK();
   }
-  auto lit = ParseLiteral();
-  if (!lit.ok()) return lit.status();
-  pred.literal = std::move(lit).value();
-  return pred;
+  return ParseLiteral(&pred->literal);
 }
 
-StatusOr<ast::ColumnName> Parser::ParseColumn() {
+Status Parser::ParseColumn(ast::ColumnName* col) {
   const Token& first = Peek();
   if (first.type != TokenType::kIdent || first.IsReserved()) {
     return Status(StatusCode::kParseError,
                   StrFormat("expected column, found %s at offset %d",
                             first.ToString().c_str(), first.offset));
   }
-  ast::ColumnName col;
-  std::string a = Next().text;
+  Next();
   if (AcceptSymbol(".")) {
     const Token& second = Peek();
     if (second.type != TokenType::kIdent) {
       return ErrorAt(second, "expected column name after '.'");
     }
-    col.qualifier = std::move(a);
-    col.column = Next().text;
+    col->qualifier.assign(first.text);
+    col->column.assign(Next().text);
   } else {
-    col.column = std::move(a);
+    col->column.assign(first.text);
   }
-  return col;
+  return Status::OK();
 }
 
-StatusOr<ast::Literal> Parser::ParseLiteral() {
+Status Parser::ParseLiteral(ast::Literal* lit) {
   const Token& tok = Peek();
-  ast::Literal lit;
   if (tok.type == TokenType::kNumber) {
-    lit.kind = ast::Literal::Kind::kNumber;
-    lit.text = Next().text;
-    return lit;
+    lit->kind = ast::Literal::Kind::kNumber;
+    lit->text.assign(Next().text);
+    return Status::OK();
   }
   if (tok.type == TokenType::kString) {
-    lit.kind = ast::Literal::Kind::kString;
-    lit.text = Next().text;
-    return lit;
+    lit->kind = ast::Literal::Kind::kString;
+    lit->text.assign(Next().text);
+    return Status::OK();
   }
   // DATE 'yyyy-mm-dd' literals.
   if (tok.IsKeyword(Keyword::kDate)) {
@@ -354,9 +318,9 @@ StatusOr<ast::Literal> Parser::ParseLiteral() {
     if (str.type != TokenType::kString) {
       return ErrorAt(str, "expected string after DATE");
     }
-    lit.kind = ast::Literal::Kind::kString;
-    lit.text = Next().text;
-    return lit;
+    lit->kind = ast::Literal::Kind::kString;
+    lit->text.assign(Next().text);
+    return Status::OK();
   }
   return ErrorAt(tok, "expected literal");
 }

@@ -2,10 +2,12 @@
 #define COTE_PARSER_PARSER_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "parser/ast.h"
+#include "parser/lexer.h"
 #include "parser/token.h"
 
 namespace cote {
@@ -15,7 +17,8 @@ namespace cote {
 /// Grammar (case-insensitive keywords):
 ///
 ///   select    := SELECT [DISTINCT] select_list FROM from_list
-///                [WHERE conj] [GROUP BY columns] [ORDER BY order_items] [;]
+///                [WHERE conj] [GROUP BY columns] [ORDER BY order_items]
+///                [FETCH FIRST n ROWS ONLY | LIMIT n] [;]
 ///   select_list := '*' | item (',' item)*
 ///   item      := column [AS ident]
 ///              | (COUNT|SUM|AVG|MIN|MAX) '(' (column | '*') ')' [AS ident]
@@ -39,16 +42,18 @@ class Parser {
   static StatusOr<ast::SelectStatement> Parse(const std::string& sql);
 
  private:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(TokenList tokens) : tokens_(std::move(tokens)) {}
 
-  StatusOr<ast::SelectStatement> ParseSelect(bool top_level);
+  // Each sub-parser fills the node its caller owns.
+  Status ParseSelect(bool top_level, ast::SelectStatement* stmt);
   Status ParseSelectList(ast::SelectStatement* stmt);
   Status ParseFromList(ast::SelectStatement* stmt);
-  StatusOr<ast::TableRef> ParseTableRef();
-  StatusOr<std::vector<ast::Predicate>> ParseConjunction();
-  StatusOr<ast::Predicate> ParsePredicate();
-  StatusOr<ast::ColumnName> ParseColumn();
-  StatusOr<ast::Literal> ParseLiteral();
+  Status ParseTableRef(ast::TableRef* ref);
+  Status ParseConjunction(std::vector<ast::Predicate>* preds);
+  Status ParsePredicate(ast::Predicate* pred);
+  Status ParseColumn(ast::ColumnName* col);
+  Status ParseLiteral(ast::Literal* lit);
+  Status ParseRowCount(const char* clause, long long* count);
 
   const Token& Peek() const { return tokens_[pos_]; }
   const Token& Next() { return tokens_[pos_++]; }
@@ -58,7 +63,7 @@ class Parser {
   Status ExpectSymbol(const char* sym);
   Status ErrorAt(const Token& tok, const std::string& what) const;
 
-  std::vector<Token> tokens_;
+  TokenList tokens_;
   size_t pos_ = 0;
 };
 

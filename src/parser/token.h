@@ -7,7 +7,7 @@
 
 namespace cote {
 
-enum class TokenType {
+enum class TokenType : uint8_t {
   kIdent,      ///< identifier or keyword (keywords matched case-insensitively)
   kNumber,     ///< numeric literal
   kString,     ///< 'quoted string'
@@ -59,12 +59,15 @@ const char* KeywordName(Keyword kw);
 Keyword ClassifyKeyword(std::string_view ident);
 
 /// \brief A lexed token with its source offset (for error messages).
+///
+/// `text` views the buffer of the TokenList the token came from (see
+/// lexer.h); a string literal's text is its unescaped contents.
 struct Token {
   TokenType type = TokenType::kEnd;
   /// Set by the lexer for identifiers; kNone for every other token type.
   Keyword keyword = Keyword::kNone;
-  std::string text;
   int offset = 0;
+  std::string_view text;
 
   bool IsSymbol(const char* s) const {
     return type == TokenType::kSymbol && text == s;

@@ -5,14 +5,6 @@
 
 namespace cote {
 
-namespace {
-
-ColumnRef Decode(uint32_t key) {
-  return ColumnRef(static_cast<int>(key >> 16), static_cast<int>(key & 0xffff));
-}
-
-}  // namespace
-
 int ColumnEquivalence::IndexOf(uint32_t key) const {
   const Node* n = nodes();
   for (uint32_t i = 0; i < size_; ++i) {
@@ -74,9 +66,8 @@ ColumnRef ColumnEquivalence::Find(ColumnRef c) const {
   return Decode(nodes()[RootIndex(static_cast<uint32_t>(i))].key);
 }
 
-std::vector<std::vector<ColumnRef>> ColumnEquivalence::Classes() const {
-  // (root key, member key) pairs sorted: classes come out grouped, in
-  // ascending root order, each with its members ascending.
+std::vector<std::pair<uint32_t, uint32_t>> ColumnEquivalence::SortedMembers()
+    const {
   std::vector<std::pair<uint32_t, uint32_t>> members;
   members.reserve(size_);
   const Node* n = nodes();
@@ -84,6 +75,11 @@ std::vector<std::vector<ColumnRef>> ColumnEquivalence::Classes() const {
     members.emplace_back(n[RootIndex(i)].key, n[i].key);
   }
   std::sort(members.begin(), members.end());
+  return members;
+}
+
+std::vector<std::vector<ColumnRef>> ColumnEquivalence::Classes() const {
+  const std::vector<std::pair<uint32_t, uint32_t>> members = SortedMembers();
   std::vector<std::vector<ColumnRef>> out;
   for (size_t lo = 0; lo < members.size();) {
     size_t hi = lo + 1;

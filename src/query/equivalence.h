@@ -2,7 +2,9 @@
 #define COTE_QUERY_EQUIVALENCE_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "query/column_ref.h"
@@ -43,6 +45,26 @@ class ColumnEquivalence {
   /// ascending order of their representatives.
   std::vector<std::vector<ColumnRef>> Classes() const;
 
+  /// Calls fn(a, b) for every two members a < b of one class: classes in
+  /// Classes() order, pairs in the order of a nested loop over each
+  /// class's members. Allocates once, however many classes there are.
+  template <typename Fn>
+  void ForEachClassPair(Fn&& fn) const {
+    const std::vector<std::pair<uint32_t, uint32_t>> members = SortedMembers();
+    for (size_t lo = 0; lo < members.size();) {
+      size_t hi = lo + 1;
+      while (hi < members.size() && members[hi].first == members[lo].first) {
+        ++hi;
+      }
+      for (size_t i = lo; i < hi; ++i) {
+        for (size_t j = i + 1; j < hi; ++j) {
+          fn(Decode(members[i].second), Decode(members[j].second));
+        }
+      }
+      lo = hi;
+    }
+  }
+
   /// Points every member directly at its root. After flattening (and until
   /// the next AddEquivalence) Find is a pure read — path halving never
   /// fires — so a flattened instance may be shared across threads. Called
@@ -77,6 +99,13 @@ class ColumnEquivalence {
   uint32_t FindOrInsert(uint32_t key);
   /// Root index of node `i`, path-halving on the way.
   uint32_t RootIndex(uint32_t i) const;
+  /// (root key, member key) of every node, sorted: classes come out
+  /// grouped, in ascending root order, each with its members ascending.
+  std::vector<std::pair<uint32_t, uint32_t>> SortedMembers() const;
+  static ColumnRef Decode(uint32_t key) {
+    return ColumnRef(static_cast<int>(key >> 16),
+                     static_cast<int>(key & 0xffff));
+  }
 
   // Roots are maintained as the class minimum so Find() is canonical
   // without a second pass. Parents are mutable for path halving.

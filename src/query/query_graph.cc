@@ -205,30 +205,22 @@ int QueryGraph::DeriveTransitiveClosure() {
     if (p.kind == JoinKind::kInner) equiv.AddEquivalence(p.left, p.right);
   }
   int added = 0;
-  for (const auto& cls : equiv.Classes()) {
-    for (size_t i = 0; i < cls.size(); ++i) {
-      for (size_t j = i + 1; j < cls.size(); ++j) {
-        ColumnRef a = cls[i], b = cls[j];
-        if (a.table == b.table) continue;  // no self-joins from closure
-        bool exists = false;
-        for (const JoinPredicate& p : join_preds_) {
-          if ((p.left == a && p.right == b) || (p.left == b && p.right == a)) {
-            exists = true;
-            break;
-          }
-        }
-        if (exists) continue;
-        JoinPredicate np;
-        np.left = a;
-        np.right = b;
-        np.kind = JoinKind::kInner;
-        np.derived = true;
-        np.selectivity = 1.0 / std::max({ColumnNdv(a), ColumnNdv(b), 1.0});
-        join_preds_.push_back(np);
-        ++added;
+  equiv.ForEachClassPair([&](ColumnRef a, ColumnRef b) {
+    if (a.table == b.table) return;  // no self-joins from closure
+    for (const JoinPredicate& p : join_preds_) {
+      if ((p.left == a && p.right == b) || (p.left == b && p.right == a)) {
+        return;
       }
     }
-  }
+    JoinPredicate np;
+    np.left = a;
+    np.right = b;
+    np.kind = JoinKind::kInner;
+    np.derived = true;
+    np.selectivity = 1.0 / std::max({ColumnNdv(a), ColumnNdv(b), 1.0});
+    join_preds_.push_back(np);
+    ++added;
+  });
   if (added > 0) {
     global_equiv_valid_.Store(false);
     // The new derived predicates are join edges too: the adjacency CSR

@@ -2,6 +2,7 @@
 #define COTE_QUERY_QUERY_GRAPH_H_
 
 #include <atomic>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,12 @@ class QueryGraph {
 
   /// Appends a table reference; returns its index in the FROM list.
   int AddTableRef(const Table* table, std::string alias);
+  /// Sizes the table-ref and predicate vectors for the given counts.
+  void Reserve(size_t tables, size_t join_preds, size_t local_preds) {
+    tables_.reserve(tables);
+    join_preds_.reserve(join_preds);
+    local_preds_.reserve(local_preds);
+  }
   void AddJoinPredicate(JoinPredicate pred) {
     join_preds_.push_back(pred);
     adj_valid_.Store(false);

@@ -9,6 +9,8 @@
 //    the paper's estimator charges;
 //  * pure enumeration: JoinEnumerator driving a do-nothing visitor, which
 //    isolates the enumeration substrate itself.
+// The SQL lexer has a bound instead of a zero: two allocations per
+// statement, whatever its token count.
 //
 // The test uses the counting operator-new hook from
 // tests/common/alloc_guard.h; this TU provides the hook's definitions, so
@@ -29,6 +31,7 @@
 #include "optimizer/cost/cardinality.h"
 #include "optimizer/enumerator.h"
 #include "optimizer/properties/interesting_orders.h"
+#include "parser/lexer.h"
 #include "query/query_builder.h"
 #include "tests/common/golden_shapes.h"
 
@@ -148,6 +151,30 @@ TEST(HotpathAllocFullBushyTest, LinearFullBushySteadyStateAllocatesNothing) {
   enumerator.Run(&counter);
   EXPECT_EQ(alloc.delta(), 0)
       << "full-bushy estimate-mode steady state performed heap allocations";
+}
+
+// The lexer allocates its copy of the input and its token vector, sized
+// once from the input length, and nothing per token: not for identifiers
+// longer than a small string, not for literals with escaped quotes, and
+// not for the vector to regrow.
+TEST(LexerAllocTest, TokenizeAllocatesOnlyItsBufferAndTokenVector) {
+  for (int predicates : {1, 10, 100}) {
+    SCOPED_TRACE(predicates);
+    std::string sql =
+        "SELECT customer_segment_name, COUNT(*) FROM customer_dimension c, "
+        "sales_fact_table s WHERE c.customer_identifier = s.customer_id";
+    for (int p = 0; p < predicates; ++p) {
+      sql += " AND s.quantity_sold_in_store_" + std::to_string(p) +
+             " BETWEEN .5 AND 100 AND c.customer_city_name <> 'O''Brien''s'";
+    }
+    sql += " ORDER BY customer_segment_name FETCH FIRST 10 ROWS ONLY";
+    testing::AllocationCounter alloc;
+    auto tokens = Lexer(sql).Tokenize();
+    const int64_t allocations = alloc.delta();
+    ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
+    EXPECT_GT(tokens->size(), 10u * static_cast<size_t>(predicates));
+    EXPECT_LE(allocations, 2) << tokens->size() << " tokens";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, HotpathAllocTest,

@@ -5,11 +5,11 @@
 namespace cote {
 namespace {
 
-std::vector<Token> Lex(const std::string& s) {
+TokenList Lex(const std::string& s) {
   Lexer lexer(s);
   auto tokens = lexer.Tokenize();
   EXPECT_TRUE(tokens.ok()) << tokens.status().ToString();
-  return tokens.ok() ? std::move(tokens).value() : std::vector<Token>{};
+  return tokens.ok() ? std::move(tokens).value() : TokenList{};
 }
 
 TEST(LexerTest, EmptyInput) {

@@ -135,6 +135,19 @@ TEST(ParserTest, MixedCaseKeywords) {
   EXPECT_TRUE(stmt.order_by[0].descending);
 }
 
+// A row count is the number's leading digits, up to the largest long long.
+TEST(ParserTest, RowCountReadsLeadingDigits) {
+  EXPECT_EQ(Parse("SELECT * FROM t LIMIT 25").fetch_first, 25);
+  EXPECT_EQ(Parse("SELECT * FROM t LIMIT 007").fetch_first, 7);
+  EXPECT_EQ(Parse("SELECT * FROM t LIMIT 3.7").fetch_first, 3);
+  EXPECT_EQ(Parse("SELECT * FROM t LIMIT .5").fetch_first, 0);
+  EXPECT_EQ(
+      Parse("SELECT * FROM t FETCH FIRST 9223372036854775807 ROWS ONLY")
+          .fetch_first,
+      9223372036854775807LL);
+  EXPECT_EQ(Parse("SELECT * FROM t").fetch_first, -1);
+}
+
 // Each case pins the exact ParseError message, including the offset and
 // the text of the token found there.
 struct BadSql {
@@ -204,7 +217,15 @@ INSTANTIATE_TEST_SUITE_P(
         BadSql{"ReservedWordAsSelectColumn", "SELECT group FROM t",
                "expected column, found ident(group) at offset 7"},
         BadSql{"MixedCaseEmptyGroupBy", "sElEcT * fRoM t gRoUp By",
-               "expected column, found <end> at offset 24"}));
+               "expected column, found <end> at offset 24"},
+        // A row count must fit a long long.
+        BadSql{"LimitOutOfRange", "SELECT * FROM t LIMIT 99999999999999999999",
+               "row count out of range, found num(99999999999999999999) at "
+               "offset 22"},
+        BadSql{"FetchFirstOutOfRange",
+               "SELECT * FROM t FETCH FIRST 99999999999999999999 ROWS ONLY",
+               "row count out of range, found num(99999999999999999999) at "
+               "offset 28"}));
 
 }  // namespace
 }  // namespace cote

@@ -29,8 +29,15 @@ end-to-end metric named in BENCHMARK.json:
     of the change is better than every run of the parent
     (change_all_better).
 
---self-test checks the statistics on synthetic samples and exits 0 when
-they hold; it runs no benchmark.
+Every session ends with one traced pair, parent first: a `--trace 1`
+run of each checkout at the same seed and length. The JSON's `per_layer`
+holds each side's per-layer metrics as that run prints them (value, unit
+and whether the line is `[text only]`, i.e. left out of the result
+object, as parser.parse_us, parser.bind_us and service.admit_us are), so
+a claim can name the layer it moved.
+
+--self-test checks the statistics and the per-layer parsing on synthetic
+samples and exits 0 when they hold; it runs no benchmark.
 """
 
 import argparse
@@ -108,19 +115,50 @@ def result_of(stdout):
     return result if isinstance(result, dict) and "metrics" in result else None
 
 
-def run_once(checkout, workload, seed, seconds):
+PER_LAYER_HEADING = "per-layer ("
+
+
+def per_layer_of(stdout):
+    """The per-layer lines a --trace 1 run prints, by metric name.
+
+    Each line reads `  NAME VALUE UNIT[  NOTE][  [text only]]`; the block
+    starts after the heading and ends at the first line that is not a
+    metric (`  mean op: ...`).
+    """
+    out = {}
+    lines = stdout.splitlines()
+    start = next((i + 1 for i, line in enumerate(lines)
+                  if line.startswith(PER_LAYER_HEADING)), len(lines))
+    for line in lines[start:]:
+        fields = line.split()
+        if not line.startswith("  ") or len(fields) < 3:
+            break
+        try:
+            value = float(fields[1])
+        except ValueError:
+            break
+        out[fields[0]] = {"value": value, "unit": fields[2],
+                          "text_only": line.endswith("[text only]")}
+    return out
+
+
+def run_once(checkout, workload, seed, seconds, trace=0):
     env = dict(os.environ)
     env.pop("CARGO_TARGET_DIR", None)  # each checkout builds its own copy
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", repr(seconds),
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     result = result_of(proc.stdout)
     if proc.returncode != 0 or result is None:
         return {"exit": proc.returncode, "failed": None, "metrics": {}}
-    return {"exit": 0, "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+    run = {"exit": 0, "correct": result["correct"],
+           "attempted": result["attempted"], "failed": result["failed"],
+           "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+    if trace:
+        run["per_layer"] = per_layer_of(proc.stdout)
+    return run
 
 
 def analyse(runs, end_to_end):
@@ -203,6 +241,44 @@ def self_test():
           "result object is the last stdout line")
     check(result_of("no json\n") is None, "missing result object")
 
+    traced = "\n".join([
+        "perfbench workload=sql-stream seed=3 seconds=2 trace=1",
+        "  references: perfbench/refs/sql.txt (310 ops)",
+        "per-layer (traced half; per op unless noted):",
+        "  parser.parse_us                           26.1353 us        "
+        "[text only]",
+        "  session.bind_us                           5.11647 us      ",
+        "  session.cold_binds                              1 count/op  "
+        "a fresh graph: the op's first call",
+        "  optimizer.enum_core_share              0.00158547 ratio     "
+        "of a mean op",
+        "  service.admit_us                                0 us        "
+        "[text only]",
+        "  service.queue_tail_ms                           0 ms        "
+        "p50 of 0  [text only]",
+        "  trace.self_ms.bench                     0.0022677 ms        "
+        "the benchmark's own checks and waits  [text only]",
+        "  trace.overhead_pct                        1.04901 %       ",
+        "  mean op: untraced 5.2290 ms, traced 5.2839 ms",
+        "ops attempted=498 failed=0",
+        '{"correct": true, "attempted": 498, "failed": 0, "metrics": {}}'])
+    layers = per_layer_of(traced)
+    check(sorted(layers) == sorted([
+        "parser.parse_us", "session.bind_us", "session.cold_binds",
+        "optimizer.enum_core_share", "service.admit_us",
+        "service.queue_tail_ms", "trace.self_ms.bench",
+        "trace.overhead_pct"]), "every per-layer line, none after the block")
+    check(layers["parser.parse_us"] == {"value": 26.1353, "unit": "us",
+                                        "text_only": True},
+          "a [text only] line")
+    check(layers["session.cold_binds"] == {"value": 1.0, "unit": "count/op",
+                                           "text_only": False},
+          "a result line with a note")
+    check(layers["trace.self_ms.bench"]["text_only"] and
+          layers["service.queue_tail_ms"]["value"] == 0.0,
+          "a [text only] line with a note")
+    check(per_layer_of("no trace\n") == {}, "an untraced run has no layers")
+
     for f in failures:
         print("ab_bench self-test FAILED: " + f, file=sys.stderr)
     if not failures:
@@ -247,6 +323,13 @@ def main():
             print(f"ab_bench: pair {pair} {side}: exit {r['exit']}, "
                   f"failed ops {r['failed']}", file=sys.stderr)
 
+    traced = {}
+    for side in ("parent", "change"):
+        traced[side] = run_once(checkouts[side], a.workload, a.seed,
+                                a.seconds, trace=1)
+        print(f"ab_bench: traced run of {side}: exit {traced[side]['exit']}, "
+              f"failed ops {traced[side]['failed']}", file=sys.stderr)
+
     result = {
         "workload": a.workload, "seed": a.seed, "seconds": a.seconds,
         "pairs": a.pairs, "hardware_threads": os.cpu_count(),
@@ -254,13 +337,15 @@ def main():
         "failed_ops": {s: [r["failed"] for r in runs if r["side"] == s]
                        for s in ("parent", "change")},
         "metrics": analyse(runs, bench["end_to_end"]),
+        "per_layer": {s: traced[s].get("per_layer", {}) for s in traced},
+        "traced_failed_ops": {s: traced[s]["failed"] for s in traced},
         "runs": runs,
     }
     text = json.dumps(result, indent=1, sort_keys=True)
     if a.out:
         Path(a.out).write_text(text + "\n")
     print(text)
-    bad_runs = sum(1 for r in runs if r["exit"] != 0)
+    bad_runs = sum(1 for r in runs + list(traced.values()) if r["exit"] != 0)
     return 1 if bad_runs else 0
 
 
